@@ -1,5 +1,5 @@
 // Plain (no fuzzer runtime) driver for the checked-in corpus: replays every
-// input under <corpus>/{wire,wal,snapshot}/ through the matching fuzz
+// input under <corpus>/{wire,wal,snapshot,html}/ through the matching fuzz
 // dispatcher. Runs as the `fuzz_replay_test` ctest target, so tier-1 and
 // the ASan CI job exercise every golden-frame seed and every hardening
 // regression input on each build — a decoder crash or round-trip fixpoint
@@ -78,12 +78,14 @@ int main(int argc, char** argv) {
   const int wire = ReplayDir(root / "wire", webdis::fuzz::FuzzWireFrame);
   const int wal = ReplayDir(root / "wal", webdis::fuzz::FuzzWalStream);
   const int snapshot = ReplayDir(root / "snapshot", webdis::fuzz::FuzzSnapshot);
-  if (wire < 0 || wal < 0 || snapshot < 0) return 1;
-  if (wire + wal + snapshot == 0) {
+  const int html = ReplayDir(root / "html", webdis::fuzz::FuzzHtml);
+  if (wire < 0 || wal < 0 || snapshot < 0 || html < 0) return 1;
+  if (wire + wal + snapshot + html == 0) {
     std::fprintf(stderr, "fuzz_replay: empty corpus at %s\n", argv[1]);
     return 1;  // a vanished corpus must not read as a green run
   }
-  std::printf("fuzz_replay: %d wire, %d wal, %d snapshot inputs replayed\n",
-              wire, wal, snapshot);
+  std::printf(
+      "fuzz_replay: %d wire, %d wal, %d snapshot, %d html inputs replayed\n",
+      wire, wal, snapshot, html);
   return 0;
 }

@@ -6,7 +6,9 @@
 #include <fstream>
 #include <vector>
 
+#include "common/strings.h"
 #include "disql/compiler.h"
+#include "html/parser.h"
 #include "net/transport.h"
 #include "query/report.h"
 #include "query/web_query.h"
@@ -14,6 +16,7 @@
 #include "serialize/framing.h"
 #include "server/http_server.h"
 #include "server/persist.h"
+#include "tests/html_reference.h"
 
 namespace webdis::fuzz {
 namespace {
@@ -233,6 +236,20 @@ int FuzzSnapshot(const uint8_t* data, size_t size) {
   return 0;
 }
 
+int FuzzHtml(const uint8_t* data, size_t size) {
+  static const html::Url kBase =
+      html::ParseUrl("http://host.example/dir/page").value();
+  const std::string_view input(reinterpret_cast<const char*>(data), size);
+  const std::string difference = html::reference::FirstDifference(
+      html::ParseDocument(kBase, input),
+      html::reference::ParseDocument(kBase, input));
+  if (!difference.empty()) {
+    std::fprintf(stderr, "webdis-fuzz: %s\n", difference.c_str());
+    Fail("html parse must equal the reference parse");
+  }
+  return 0;
+}
+
 // -- Seed + regression corpus ------------------------------------------------
 
 namespace {
@@ -286,7 +303,7 @@ std::vector<uint8_t> FrameSnapshotBody(const std::vector<uint8_t>& body) {
 int WriteSeedCorpus(const std::string& root) {
   namespace fs = std::filesystem;
   std::error_code ec;
-  for (const char* sub : {"wire", "wal", "snapshot"}) {
+  for (const char* sub : {"wire", "wal", "snapshot", "html"}) {
     fs::create_directories(fs::path(root) / sub, ec);
     if (ec) return -1;
   }
@@ -552,6 +569,15 @@ int WriteSeedCorpus(const std::string& root) {
     body.PutU8(0xEE);
     put("snapshot", "regress-trailing-bytes.bin",
         FrameSnapshotBody(body.data()));
+  }
+
+  // --- html seeds: the parser's hand-picked edge cases ---
+  const std::vector<std::string> documents =
+      html::reference::EdgeCaseDocuments();
+  for (size_t i = 0; i < documents.size(); ++i) {
+    const std::string name = StringPrintf("seed-edge-%02zu.html", i);
+    put("html", name.c_str(),
+        std::vector<uint8_t>(documents[i].begin(), documents[i].end()));
   }
   return written;
 }

@@ -76,23 +76,6 @@ std::string Join(const std::vector<std::string>& pieces,
   return out;
 }
 
-std::string CollapseWhitespace(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  bool in_space = true;  // drop leading whitespace
-  for (char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!in_space) out.push_back(' ');
-      in_space = true;
-    } else {
-      out.push_back(c);
-      in_space = false;
-    }
-  }
-  while (!out.empty() && out.back() == ' ') out.pop_back();
-  return out;
-}
-
 std::string StringPrintf(const char* format, ...) {
   va_list ap;
   va_start(ap, format);

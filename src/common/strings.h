@@ -32,10 +32,6 @@ std::string_view Trim(std::string_view s);
 std::string Join(const std::vector<std::string>& pieces,
                  std::string_view sep);
 
-/// Collapses runs of whitespace into single spaces and trims; used when
-/// extracting document text from HTML.
-std::string CollapseWhitespace(std::string_view s);
-
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* format, ...)
     __attribute__((format(printf, 1, 2)));

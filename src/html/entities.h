@@ -6,13 +6,15 @@
 
 namespace webdis::html {
 
-/// Decodes the HTML 2.0 character entities that appear in the synthetic web
-/// (&amp; &lt; &gt; &quot; &nbsp; and numeric &#NN;). Unknown entities are
-/// passed through verbatim, as browsers of the paper's era did.
-std::string DecodeEntities(std::string_view s);
+/// Appends `s` to `*out` with the HTML 2.0 character entities that appear in
+/// the synthetic web decoded (&amp; &lt; &gt; &quot; &apos; &nbsp; and
+/// numeric &#NN;). Unknown entities are passed through verbatim, as browsers
+/// of the paper's era did.
+void AppendDecoded(std::string_view s, std::string* out);
 
-/// Escapes &, <, > and " for embedding text into generated HTML.
-std::string EscapeForHtml(std::string_view s);
+/// Appends `s` to `*out` with &, <, > and " escaped, for embedding text into
+/// generated HTML.
+void AppendEscaped(std::string_view s, std::string* out);
 
 }  // namespace webdis::html
 

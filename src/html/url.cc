@@ -1,5 +1,6 @@
 #include "html/url.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/strings.h"
@@ -58,8 +59,23 @@ std::string Url::ResourceKey() const {
 
 namespace {
 
+/// True if `path` is already normal: absolute, with no empty, "." or ".."
+/// segment (a trailing slash is fine).
+bool IsNormalPath(std::string_view path) {
+  if (path.empty() || path[0] != '/') return false;
+  size_t start = 1;
+  while (start < path.size()) {
+    const size_t end = std::min(path.find('/', start), path.size());
+    const std::string_view segment = path.substr(start, end - start);
+    if (segment.empty() || segment == "." || segment == "..") return false;
+    start = end + 1;
+  }
+  return true;
+}
+
 /// Collapses "." and ".." segments; keeps the path absolute.
 std::string NormalizePath(std::string_view path) {
+  if (IsNormalPath(path)) return std::string(path);
   std::vector<std::string> stack;
   for (const std::string& seg : Split(path, '/')) {
     if (seg.empty() || seg == ".") continue;

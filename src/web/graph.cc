@@ -1,5 +1,6 @@
 #include "web/graph.h"
 
+#include <cctype>
 #include <memory>
 
 #include "common/logging.h"
@@ -146,6 +147,13 @@ WebGraph::Document* WebGraph::Materialize(const DocEntry& entry) const {
 }
 
 const WebGraph::DocEntry* WebGraph::EntryFor(std::string_view url) const {
+  // Callers mostly pass a stored key verbatim, and a stored key is its own
+  // resource key (Materialize relies on that) unless it ends in whitespace,
+  // which ParseUrl would trim.
+  if (!url.empty() && !std::isspace(static_cast<unsigned char>(url.back()))) {
+    auto it = by_key_.find(url);
+    if (it != by_key_.end()) return &entries_[it->second];
+  }
   auto parsed = html::ParseUrl(url);
   if (!parsed.ok()) return nullptr;
   auto it = by_key_.find(parsed->ResourceKey());

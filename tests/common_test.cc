@@ -133,11 +133,6 @@ TEST(StringsTest, Join) {
   EXPECT_EQ(Join({"only"}, ", "), "only");
 }
 
-TEST(StringsTest, CollapseWhitespace) {
-  EXPECT_EQ(CollapseWhitespace("  a\n\t b   c "), "a b c");
-  EXPECT_EQ(CollapseWhitespace("\n \t"), "");
-}
-
 TEST(StringsTest, StringPrintf) {
   EXPECT_EQ(StringPrintf("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StringPrintf("%s", ""), "");

@@ -3,6 +3,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "common/strings.h"
 #include "web/fileweb.h"
@@ -32,6 +33,33 @@ TEST(WebGraphTest, FragmentIgnoredInLookup) {
   WebGraph web;
   ASSERT_TRUE(web.AddDocument("http://a/x", "body").ok());
   EXPECT_TRUE(web.Has("http://a/x#section"));
+}
+
+TEST(WebGraphTest, NonCanonicalSpellingsFindSameDocument) {
+  WebGraph web;
+  ASSERT_TRUE(web.AddDocument("http://h/a", "<title>A</title>").ok());
+  const WebGraph::Document* doc = web.Find("http://h/a");
+  ASSERT_NE(doc, nullptr);
+  for (const char* spelling : {"h/a", "http://h/./a#x", "http://h//a",
+                               "http://h/b/../a", " http://h/a "}) {
+    EXPECT_EQ(web.Find(spelling), doc) << spelling;
+    EXPECT_TRUE(web.Has(spelling)) << spelling;
+  }
+  EXPECT_EQ(web.Find("http://h/a/"), nullptr);
+  EXPECT_EQ(web.Find("http://h/"), nullptr);
+}
+
+TEST(WebGraphTest, NonCanonicalSpellingMaterializesLazyDocumentOnce) {
+  WebGraph web;
+  web.SetPageGenerator([](std::string_view key, uint64_t, uint64_t) {
+    return "<title>" + std::string(key) + "</title>";
+  });
+  ASSERT_TRUE(web.AddLazyDocument("http://h/d/x", 0, 0).ok());
+  const WebGraph::Document* doc = web.Find("h/d/../d/./x#top");
+  ASSERT_NE(doc, nullptr);
+  EXPECT_EQ(doc->parsed.title, "http://h/d/x");
+  EXPECT_EQ(web.Find("http://h/d/x"), doc);
+  EXPECT_EQ(web.num_materialized(), 1u);
 }
 
 TEST(WebGraphTest, DuplicateRejected) {
@@ -200,6 +228,48 @@ TEST(PageGenTest, RenderedPageParsesBack) {
   EXPECT_TRUE(convener_in_hr);
 }
 
+TEST(PageGenTest, RenderHtmlGoldenBytes) {
+  // Every field filled, all four escaped characters, and an href with '&'
+  // (hrefs are written raw): the exact bytes every page parse starts from.
+  PageSpec spec;
+  spec.title = "Labs & \"Groups\"";
+  spec.paragraphs = {"a < b", "plain"};
+  spec.sections = {{"H > 1", "body & more"}};
+  spec.bold_notes = {"note \"q\""};
+  spec.hr_blocks = {"CONVENER <Someone>", "MEMBERS"};
+  spec.links = {{"/a&b", "People & <Staff>"}, {"http://other/", "Other"}};
+  EXPECT_EQ(RenderHtml(spec),
+            R"html(<!DOCTYPE HTML PUBLIC "-//IETF//DTD HTML 2.0//EN">
+<html>
+<head>
+<title>Labs &amp; &quot;Groups&quot;</title>
+</head>
+<body>
+<h1>Labs &amp; &quot;Groups&quot;</h1>
+<p>a &lt; b</p>
+<p>plain</p>
+<h2>H &gt; 1</h2>
+<p>body &amp; more</p>
+<b>note &quot;q&quot;</b>
+<hr>
+CONVENER &lt;Someone&gt;
+<hr>
+MEMBERS
+<hr>
+<ul>
+<li><a href="/a&b">People &amp; &lt;Staff&gt;</a></li>
+<li><a href="http://other/">Other</a></li>
+</ul>
+</body>
+</html>
+)html");
+  // An empty spec keeps only the skeleton.
+  EXPECT_EQ(RenderHtml(PageSpec()),
+            "<!DOCTYPE HTML PUBLIC \"-//IETF//DTD HTML 2.0//EN\">\n"
+            "<html>\n<head>\n<title></title>\n</head>\n<body>\n<h1></h1>\n"
+            "</body>\n</html>\n");
+}
+
 // -- Synthetic web -----------------------------------------------------------------
 
 TEST(SynthWebTest, DeterministicForSeed) {
@@ -242,6 +312,37 @@ TEST(SynthWebTest, LazyPagesMatchEagerByteForByte) {
     EXPECT_EQ(l->parsed.title, e->parsed.title) << urls[i];
   }
   EXPECT_EQ(lazy.num_materialized(), urls.size());
+}
+
+TEST(SynthWebTest, ConcurrentFirstFindsPublishOneParse) {
+  // The parallel stepper's partitions race to materialize the same lazy
+  // documents: every thread must get the one published Document per key,
+  // parsed exactly as an eager build parses it.
+  SynthWebOptions options;
+  options.seed = 3;
+  options.num_sites = 4;
+  options.docs_per_site = 8;
+  const WebGraph eager = GenerateSynthWeb(options);
+  options.lazy_pages = true;
+  const WebGraph lazy = GenerateSynthWeb(options);
+  const std::vector<std::string> urls = lazy.AllUrls();
+  std::vector<std::vector<const WebGraph::Document*>> seen(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&lazy, &urls, &found = seen[t]] {
+      for (const std::string& url : urls) found.push_back(lazy.Find(url));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 1; t < seen.size(); ++t) EXPECT_EQ(seen[t], seen[0]);
+  EXPECT_EQ(lazy.num_materialized(), urls.size());
+  for (size_t i = 0; i < urls.size(); ++i) {
+    const html::ParsedDocument& got = seen[0][i]->parsed;
+    const html::ParsedDocument& want = eager.Find(urls[i])->parsed;
+    EXPECT_EQ(got.text, want.text) << urls[i];
+    ASSERT_EQ(got.rel_infons.size(), want.rel_infons.size()) << urls[i];
+    ASSERT_EQ(got.anchors.size(), want.anchors.size()) << urls[i];
+  }
 }
 
 TEST(SynthWebTest, ShapeMatchesOptions) {
