@@ -20,12 +20,31 @@ bool Contains(std::string_view haystack, std::string_view needle) {
   return haystack.find(needle) != std::string_view::npos;
 }
 
+namespace {
+
+/// std::tolower in the C locale, which the process never leaves: only
+/// 'A'-'Z' map, every other byte (0x80 and up included) is itself.
+char FoldAscii(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+}  // namespace
+
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
   if (needle.empty()) return true;
   if (needle.size() > haystack.size()) return false;
-  const std::string h = ToLower(haystack);
-  const std::string n = ToLower(needle);
-  return h.find(n) != std::string::npos;
+  const char first = FoldAscii(needle[0]);
+  const size_t last_start = haystack.size() - needle.size();
+  for (size_t start = 0; start <= last_start; ++start) {
+    if (FoldAscii(haystack[start]) != first) continue;
+    size_t i = 1;
+    while (i < needle.size() &&
+           FoldAscii(haystack[start + i]) == FoldAscii(needle[i])) {
+      ++i;
+    }
+    if (i == needle.size()) return true;
+  }
+  return false;
 }
 
 bool StartsWith(std::string_view s, std::string_view prefix) {

@@ -15,7 +15,9 @@ std::string ToLower(std::string_view s);
 /// True if `haystack` contains `needle` (case-sensitive).
 bool Contains(std::string_view haystack, std::string_view needle);
 
-/// True if `haystack` contains `needle` ignoring ASCII case.
+/// True if `haystack` contains `needle` ignoring ASCII case: the same
+/// answer as searching ToLower(needle) in ToLower(haystack), computed in
+/// place without allocating.
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);
 
 /// True if `s` starts with / ends with the given prefix/suffix.

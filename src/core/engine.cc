@@ -97,6 +97,10 @@ std::string FormatRunStats(const RunOutcome& outcome) {
   const server::QueryServerStats& s = outcome.server_stats;
   emit("clones_received", s.clones_received);
   emit("clones_forwarded", s.clones_forwarded);
+  emit("nodes_processed", s.nodes_processed);
+  emit("node_queries_evaluated", s.node_queries_evaluated);
+  emit("db_constructions", s.db_constructions);
+  emit("db_cache_hits", s.db_cache_hits);
   emit("report_send_errors", s.report_send_errors);
   emit("forward_send_errors", s.forward_send_errors);
   emit("undeliverable_forwards", s.undeliverable_forwards);

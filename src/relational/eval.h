@@ -53,8 +53,11 @@ struct ResultSet {
   bool empty() const { return rows.empty(); }
 };
 
-/// Runs the select against the per-document database. Errors on unknown
-/// relations, duplicate aliases, or expression evaluation failures.
+/// Runs the select against the per-document database, which need hold only
+/// the relations `query.from` names. Errors on unknown relations and
+/// duplicate aliases up front; an unbound alias or unknown column fails
+/// only when a row evaluates it (so over empty tables it never does).
+/// Cells are read in place; only projected output cells are copied.
 Result<ResultSet> Execute(const SelectQuery& query, const Database& db);
 
 }  // namespace webdis::relational

@@ -1,46 +1,8 @@
 #include "relational/expr.h"
 
-#include "common/strings.h"
 #include "serialize/encoder.h"
 
 namespace webdis::relational {
-
-void RowBinding::Bind(std::string alias, const Schema* schema,
-                      const Tuple* tuple) {
-  for (Entry& e : entries_) {
-    if (e.alias == alias) {
-      e.schema = schema;
-      e.tuple = tuple;
-      return;
-    }
-  }
-  entries_.push_back({std::move(alias), schema, tuple});
-}
-
-Result<Value> RowBinding::Lookup(std::string_view alias,
-                                 std::string_view column) const {
-  for (const Entry& e : entries_) {
-    if (e.alias == alias) {
-      const int idx = e.schema->IndexOf(column);
-      if (idx < 0) {
-        return Status::InvalidArgument(
-            StringPrintf("relation aliased '%s' has no column '%s'",
-                         std::string(alias).c_str(),
-                         std::string(column).c_str()));
-      }
-      return (*e.tuple)[static_cast<size_t>(idx)];
-    }
-  }
-  return Status::InvalidArgument(
-      StringPrintf("unbound alias '%s'", std::string(alias).c_str()));
-}
-
-bool RowBinding::Has(std::string_view alias) const {
-  for (const Entry& e : entries_) {
-    if (e.alias == alias) return true;
-  }
-  return false;
-}
 
 std::string_view CompareOpToString(CompareOp op) {
   switch (op) {
@@ -113,98 +75,6 @@ ExprPtr Expr::Not(ExprPtr operand) {
   ExprPtr e = Make(ExprKind::kNot);
   e->left_ = std::move(operand);
   return e;
-}
-
-namespace {
-
-bool Truthy(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      return false;
-    case ValueType::kInt:
-      return v.AsInt() != 0;
-    case ValueType::kString:
-      return !v.AsString().empty();
-  }
-  return false;
-}
-
-}  // namespace
-
-Result<Value> Expr::Eval(const RowBinding& binding) const {
-  switch (kind_) {
-    case ExprKind::kLiteral:
-      return literal_;
-    case ExprKind::kColumnRef:
-      return binding.Lookup(alias_, column_);
-    case ExprKind::kCompare: {
-      Value lhs, rhs;
-      WEBDIS_ASSIGN_OR_RETURN(lhs, left_->Eval(binding));
-      WEBDIS_ASSIGN_OR_RETURN(rhs, right_->Eval(binding));
-      bool result = false;
-      switch (compare_op_) {
-        case CompareOp::kEq:
-          result = lhs.SqlEquals(rhs);
-          break;
-        case CompareOp::kNe:
-          result = !lhs.is_null() && !rhs.is_null() && !lhs.SqlEquals(rhs);
-          break;
-        case CompareOp::kLt:
-          result = lhs.Compare(rhs) < 0;
-          break;
-        case CompareOp::kLe:
-          result = lhs.Compare(rhs) <= 0;
-          break;
-        case CompareOp::kGt:
-          result = lhs.Compare(rhs) > 0;
-          break;
-        case CompareOp::kGe:
-          result = lhs.Compare(rhs) >= 0;
-          break;
-      }
-      return Value(static_cast<int64_t>(result ? 1 : 0));
-    }
-    case ExprKind::kContains: {
-      Value lhs, rhs;
-      WEBDIS_ASSIGN_OR_RETURN(lhs, left_->Eval(binding));
-      WEBDIS_ASSIGN_OR_RETURN(rhs, right_->Eval(binding));
-      if (lhs.type() != ValueType::kString ||
-          rhs.type() != ValueType::kString) {
-        return Value(static_cast<int64_t>(0));
-      }
-      const bool result = ContainsIgnoreCase(lhs.AsString(), rhs.AsString());
-      return Value(static_cast<int64_t>(result ? 1 : 0));
-    }
-    case ExprKind::kAnd: {
-      // Short-circuit.
-      Value lhs;
-      WEBDIS_ASSIGN_OR_RETURN(lhs, left_->Eval(binding));
-      if (!Truthy(lhs)) return Value(static_cast<int64_t>(0));
-      Value rhs;
-      WEBDIS_ASSIGN_OR_RETURN(rhs, right_->Eval(binding));
-      return Value(static_cast<int64_t>(Truthy(rhs) ? 1 : 0));
-    }
-    case ExprKind::kOr: {
-      Value lhs;
-      WEBDIS_ASSIGN_OR_RETURN(lhs, left_->Eval(binding));
-      if (Truthy(lhs)) return Value(static_cast<int64_t>(1));
-      Value rhs;
-      WEBDIS_ASSIGN_OR_RETURN(rhs, right_->Eval(binding));
-      return Value(static_cast<int64_t>(Truthy(rhs) ? 1 : 0));
-    }
-    case ExprKind::kNot: {
-      Value v;
-      WEBDIS_ASSIGN_OR_RETURN(v, left_->Eval(binding));
-      return Value(static_cast<int64_t>(Truthy(v) ? 0 : 1));
-    }
-  }
-  return Status::Internal("unreachable expr kind");
-}
-
-Result<bool> Expr::EvalPredicate(const RowBinding& binding) const {
-  Value v;
-  WEBDIS_ASSIGN_OR_RETURN(v, Eval(binding));
-  return Truthy(v);
 }
 
 ExprPtr Expr::Clone() const {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "relational/table.h"
 #include "relational/value.h"
 
 namespace webdis::serialize {
@@ -16,29 +15,6 @@ class Decoder;
 }  // namespace webdis::serialize
 
 namespace webdis::relational {
-
-/// Maps a table alias (e.g. "d0", "a", "r") to one current row during
-/// evaluation of a where-clause over the cross product of the declared
-/// virtual relations.
-class RowBinding {
- public:
-  /// Binds alias -> (schema, tuple). Pointers must outlive the binding.
-  void Bind(std::string alias, const Schema* schema, const Tuple* tuple);
-
-  /// Resolves alias.column to the cell value.
-  Result<Value> Lookup(std::string_view alias, std::string_view column) const;
-
-  /// True if the alias is bound.
-  bool Has(std::string_view alias) const;
-
- private:
-  struct Entry {
-    std::string alias;
-    const Schema* schema;
-    const Tuple* tuple;
-  };
-  std::vector<Entry> entries_;
-};
 
 /// Expression node kinds. Wire tags — do not renumber.
 enum class ExprKind : uint8_t {
@@ -68,7 +44,9 @@ using ExprPtr = std::unique_ptr<Expr>;
 
 /// Immutable predicate/value expression tree. Built by the DISQL parser,
 /// serialized into node-queries so it can be shipped between sites, and
-/// evaluated by query servers against per-document virtual relations.
+/// evaluated by query servers against per-document virtual relations (the
+/// evaluator is relational::Execute, which binds each column reference to
+/// its from-list slot once per query).
 ///
 /// Boolean results are represented as int 0/1; `contains` is the paper's
 /// case-insensitive substring predicate.
@@ -98,13 +76,6 @@ class Expr {
   /// left only).
   const Expr* left() const { return left_.get(); }
   const Expr* right() const { return right_.get(); }
-
-  /// Evaluates to a Value. Errors on unbound aliases / unknown columns.
-  Result<Value> Eval(const RowBinding& binding) const;
-
-  /// Evaluates as a predicate: non-null, non-zero int or non-empty string is
-  /// true; NULL is false (SQL-ish three-valued logic collapsed to false).
-  Result<bool> EvalPredicate(const RowBinding& binding) const;
 
   /// Deep copy.
   ExprPtr Clone() const;

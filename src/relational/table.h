@@ -54,6 +54,9 @@ class Table {
   /// Validates arity and cell types (null always allowed) and appends.
   Status Insert(Tuple tuple);
 
+  /// Reserves room for `rows` rows.
+  void Reserve(size_t rows) { rows_.reserve(rows); }
+
   /// Drops all rows (the "purge" of Section 2.4).
   void Clear() { rows_.clear(); }
 

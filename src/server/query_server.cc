@@ -704,30 +704,48 @@ void QueryServer::HandleCloneWhileRetired(
 }
 
 const relational::Database& QueryServer::NodeDatabase(
-    const web::WebGraph::Document& doc) {
-  if (options_.cache_databases) {
-    // The version stamp keeps the cache honest against UpdateDocument: an
-    // edited page gets a fresh key, and the stale entry ages out via LRU.
-    const std::string key =
-        doc.url.ResourceKey() + "@" + std::to_string(doc.version);
-    auto it = db_cache_index_.find(key);
-    if (it != db_cache_index_.end()) {
-      ++stats_.db_cache_hits;
-      // Refresh recency: move the entry to the front of the LRU list.
-      db_cache_lru_.splice(db_cache_lru_.begin(), db_cache_lru_, it->second);
-      return it->second->db;
+    const web::WebGraph::Document& doc,
+    const std::vector<relational::TableRef>& from, VisitDatabase* visit) {
+  if (visit->db == nullptr) {
+    if (options_.cache_databases) {
+      // The version stamp keeps the cache honest against UpdateDocument: an
+      // edited page gets a fresh key, and the stale entry ages out via LRU.
+      const std::string key =
+          doc.url.ResourceKey() + "@" + std::to_string(doc.version);
+      auto it = db_cache_index_.find(key);
+      if (it != db_cache_index_.end()) {
+        ++stats_.db_cache_hits;
+        // Refresh recency: move the entry to the front of the LRU list.
+        db_cache_lru_.splice(db_cache_lru_.begin(), db_cache_lru_,
+                             it->second);
+      } else {
+        ++stats_.db_constructions;
+        CachedDatabase entry;
+        entry.key = key;
+        entry.bytes = entry.db.ApproxBytes();
+        db_cache_bytes_ += entry.bytes;
+        db_cache_lru_.push_front(std::move(entry));
+        db_cache_index_[key] = db_cache_lru_.begin();
+      }
+      visit->retained = &db_cache_lru_.front();
+      visit->db = &visit->retained->db;
+    } else {
+      ++stats_.db_constructions;
+      // Section 2.4: constructed per visit and purged afterwards — the
+      // scratch slot starts empty on the next visit that evaluates.
+      scratch_db_ = relational::Database();
+      visit->db = &scratch_db_;
     }
-    ++stats_.db_constructions;
-    CachedDatabase entry;
-    entry.key = key;
-    entry.db = BuildNodeDatabase(doc.parsed);
+  }
+  if (AddNodeRelations(doc.parsed, from, visit->db) > 0 &&
+      visit->retained != nullptr) {
+    CachedDatabase& entry = *visit->retained;
+    db_cache_bytes_ -= entry.bytes;
     entry.bytes = entry.db.ApproxBytes();
     db_cache_bytes_ += entry.bytes;
-    db_cache_lru_.push_front(std::move(entry));
-    db_cache_index_[key] = db_cache_lru_.begin();
-    // Evict from the cold end until the budget holds. The just-inserted
-    // entry is never evicted (a reference to it is being returned), even
-    // when it alone exceeds the budget.
+    // Evict from the cold end until the budget holds. The entry in use is
+    // the most recently used and is never evicted, even when it alone
+    // exceeds the budget.
     if (options_.db_cache_max_bytes > 0) {
       while (db_cache_bytes_ > options_.db_cache_max_bytes &&
              db_cache_lru_.size() > 1) {
@@ -738,13 +756,8 @@ const relational::Database& QueryServer::NodeDatabase(
         db_cache_lru_.pop_back();
       }
     }
-    return db_cache_lru_.front().db;
   }
-  ++stats_.db_constructions;
-  // Section 2.4: constructed per node-query and purged immediately after —
-  // the scratch slot is overwritten on the next visit.
-  scratch_db_ = BuildNodeDatabase(doc.parsed);
-  return scratch_db_;
+  return *visit->db;
 }
 
 std::string QueryServer::ResultCacheKey(const web::WebGraph::Document& doc,
@@ -806,7 +819,7 @@ void QueryServer::ResultCacheInsert(std::string key,
 
 bool QueryServer::EvaluateNodeQuery(const query::NodeQuery& nq,
                                     const web::WebGraph::Document& doc,
-                                    const relational::Database& db,
+                                    VisitDatabase* visit,
                                     relational::ResultSet* out) {
   std::string key;
   if (options_.share_results) {
@@ -818,7 +831,8 @@ bool QueryServer::EvaluateNodeQuery(const query::NodeQuery& nq,
     }
     ++stats_.result_cache_misses;
   }
-  auto result = relational::Execute(nq.select, db);
+  auto result = relational::Execute(
+      nq.select, NodeDatabase(doc, nq.select.from, visit));
   if (!result.ok()) {
     WEBDIS_LOG(kWarning) << host_ << ": node-query failed on "
                          << doc.url.ResourceKey() << ": "
@@ -832,7 +846,7 @@ bool QueryServer::EvaluateNodeQuery(const query::NodeQuery& nq,
 
 void QueryServer::ProcessStage(const query::WebQuery& clone,
                                const web::WebGraph::Document& doc,
-                               const relational::Database& db, size_t stage,
+                               VisitDatabase* visit, size_t stage,
                                const pre::Pre& rem,
                                query::NodeReport* report,
                                std::vector<Forward>* forwards) {
@@ -843,7 +857,7 @@ void QueryServer::ProcessStage(const query::WebQuery& clone,
     ++stats_.node_queries_evaluated;
     const query::NodeQuery& nq = clone.remaining_queries[stage];
     relational::ResultSet rows;
-    if (!EvaluateNodeQuery(nq, doc, db, &rows)) {
+    if (!EvaluateNodeQuery(nq, doc, visit, &rows)) {
       // Evaluation error: logged inside, nothing to report or advance.
     } else if (!rows.rows.empty()) {
       ++stats_.answers_found;
@@ -852,7 +866,8 @@ void QueryServer::ProcessStage(const query::WebQuery& clone,
       // from nodes that answered (Figure 1's node 7 rule).
       if (stage + 1 < clone.remaining_queries.size()) {
         const pre::Pre& next_pre = clone.future_pres[stage];
-        ProcessStage(clone, doc, db, stage + 1, next_pre, report, forwards);
+        ProcessStage(clone, doc, visit, stage + 1, next_pre, report,
+                     forwards);
       }
     } else {
       ++stats_.dead_ends;
@@ -927,10 +942,10 @@ void QueryServer::ProcessNode(const query::WebQuery& clone,
   report->doc_version = doc->version;
 
   ++stats_.nodes_processed;
-  const relational::Database& db = NodeDatabase(*doc);
+  VisitDatabase visit;
   const size_t forwards_before = forwards->size();
   const size_t results_before = report->result_sets.size();
-  ProcessStage(clone, *doc, db, 0, rem, report, forwards);
+  ProcessStage(clone, *doc, &visit, 0, rem, report, forwards);
 
   event.evaluated = rem.ContainsNull();
   event.answered = report->result_sets.size() > results_before;

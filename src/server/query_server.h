@@ -15,6 +15,7 @@
 #include "net/transport.h"
 #include "query/report.h"
 #include "query/web_query.h"
+#include "relational/eval.h"
 #include "relational/table.h"
 #include "server/http_server.h"
 #include "server/log_table.h"
@@ -113,7 +114,12 @@ struct QueryServerStats {
   uint64_t nodes_processed = 0;
   uint64_t node_queries_evaluated = 0;
   uint64_t answers_found = 0;
+  /// Node databases started: one per visit that evaluates a node-query and
+  /// misses the result cache (a new retained entry under cache_databases).
+  /// Later stages of the visit extend the same database.
   uint64_t db_constructions = 0;
+  /// Visits that found their document's retained database (extended in
+  /// place when a stage reads a relation it lacks).
   uint64_t db_cache_hits = 0;
   uint64_t db_cache_evictions = 0;  // LRU entries dropped for the byte budget
   uint64_t db_cache_bytes = 0;      // current cache footprint (approximate)
@@ -358,14 +364,23 @@ class QueryServer {
   /// Cache key: "<resource key>@<version>|<canonical node-query bytes>".
   static std::string ResultCacheKey(const web::WebGraph::Document& doc,
                                     const query::NodeQuery& nq);
-  /// Evaluates one node-query against the node database, through the
-  /// result cache when share_results is on. Returns false on evaluation
-  /// error. Hit or miss, *out is byte-identical — the cache is a pure
-  /// wall-clock optimization.
+  struct CachedDatabase;
+  /// The node database of one visit (paper §2.4), built on first need: a
+  /// PureRouter visit or a result-cache hit never builds one, and each
+  /// stage adds only the relations its node-query reads. `db` is
+  /// scratch_db_, or `retained->db` under cache_databases.
+  struct VisitDatabase {
+    relational::Database* db = nullptr;
+    CachedDatabase* retained = nullptr;
+  };
+  /// Evaluates one node-query against the visit's node database, through
+  /// the result cache when share_results is on; a miss builds what the
+  /// node-query reads first. Returns false on evaluation error. Hit or
+  /// miss, *out is byte-identical — the cache is a pure wall-clock
+  /// optimization.
   bool EvaluateNodeQuery(const query::NodeQuery& nq,
                          const web::WebGraph::Document& doc,
-                         const relational::Database& db,
-                         relational::ResultSet* out);
+                         VisitDatabase* visit, relational::ResultSet* out);
   const relational::ResultSet* ResultCacheLookup(const std::string& key);
   void ResultCacheInsert(std::string key, const relational::ResultSet& rows);
   /// Arms the flush timer when anything is staged.
@@ -414,14 +429,19 @@ class QueryServer {
   void ProcessNode(const query::WebQuery& clone, const std::string& url,
                    query::NodeReport* report, std::vector<Forward>* forwards);
   void ProcessStage(const query::WebQuery& clone,
-                    const web::WebGraph::Document& doc,
-                    const relational::Database& db, size_t stage,
-                    const pre::Pre& rem, query::NodeReport* report,
+                    const web::WebGraph::Document& doc, VisitDatabase* visit,
+                    size_t stage, const pre::Pre& rem,
+                    query::NodeReport* report,
                     std::vector<Forward>* forwards);
 
-  /// Builds (or fetches from cache) the node database.
+  /// Returns the visit's node database holding every relation `from`
+  /// names. The first call of a visit takes the retained entry (a hit) or
+  /// starts one, or clears the scratch database (a construction); any
+  /// call adds the relations missing, re-counting a retained entry's bytes
+  /// against db_cache_max_bytes.
   const relational::Database& NodeDatabase(
-      const web::WebGraph::Document& doc);
+      const web::WebGraph::Document& doc,
+      const std::vector<relational::TableRef>& from, VisitDatabase* visit);
 
   /// Sends a report to the clone's user site; on connection-refused performs
   /// passive termination bookkeeping. Returns whether forwarding may
@@ -467,6 +487,7 @@ class QueryServer {
   uint64_t next_ack_token_ = 1;
   /// LRU database cache (front = most recently used), bounded by
   /// options_.db_cache_max_bytes. The index maps resource key -> list node.
+  /// An entry holds the relations its document's node-queries have read.
   struct CachedDatabase {
     std::string key;
     relational::Database db;
@@ -475,7 +496,7 @@ class QueryServer {
   std::list<CachedDatabase> db_cache_lru_;
   std::map<std::string, std::list<CachedDatabase>::iterator> db_cache_index_;
   uint64_t db_cache_bytes_ = 0;
-  relational::Database scratch_db_;  // non-cached working database
+  relational::Database scratch_db_;  // non-cached visit database
   /// Cross-query result cache (PROTOCOL.md §9.1): LRU list (front = most
   /// recently used) + index, bounded by options_.result_cache_max_bytes.
   /// Keys embed the document version, so a stale entry is never *served*

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <set>
 
 #include "common/rng.h"
@@ -105,6 +106,59 @@ TEST(StringsTest, ContainsIgnoreCase) {
   EXPECT_TRUE(ContainsIgnoreCase("Laboratories", "LAB"));
   EXPECT_FALSE(ContainsIgnoreCase("short", "a longer needle"));
   EXPECT_TRUE(ContainsIgnoreCase("anything", ""));
+}
+
+TEST(StringsTest, ContainsIgnoreCaseMatchesLoweringDefinition) {
+  // The definition: lower-case fresh copies of both strings, then search.
+  // The in-place fold must agree on random byte strings over an alphabet of
+  // letters, their ASCII neighbours ('@' '[' '`' '{') and bytes >= 0x80
+  // (Latin-1 letters, and 0xC1/0xE1, which are 'A'/'a' plus the high bit),
+  // which std::tolower leaves alone in the C locale.
+  const auto by_lowering = [](std::string_view h, std::string_view n) {
+    return ToLower(h).find(ToLower(n)) != std::string::npos;
+  };
+  static constexpr char kAlphabet[] = {
+      'a', 'A', 'b', 'B', 'z', 'Z', '@', '[', '`', '{', ' ', '\0',
+      '\x80', '\xC0', '\xC1', '\xE0', '\xE1', '\xFF'};
+  Rng rng(42);
+  const auto random_bytes = [&](size_t max_len) {
+    std::string s(rng.Uniform(max_len + 1), ' ');
+    for (char& c : s) c = kAlphabet[rng.Uniform(sizeof(kAlphabet))];
+    return s;
+  };
+  int matches = 0;
+  for (int i = 0; i < 40000; ++i) {
+    const std::string h = random_bytes(12);
+    std::string n = random_bytes(4);
+    if (i % 4 != 0 && !h.empty()) {
+      // A case-flipped slice of the haystack: at its first offset, ending at
+      // its last, or anywhere.
+      size_t from = rng.Uniform(h.size());
+      size_t len = 1 + rng.Uniform(h.size() - from);
+      if (i % 4 == 1) from = 0;
+      if (i % 4 == 2) len = h.size() - from;
+      n = h.substr(from, len);
+      for (char& c : n) {
+        if (rng.Bernoulli(0.5)) {
+          c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+        }
+      }
+    }
+    const bool want = by_lowering(h, n);
+    ASSERT_EQ(ContainsIgnoreCase(h, n), want) << i;
+    matches += want ? 1 : 0;
+  }
+  EXPECT_GT(matches, 20000);
+  // Repeated prefixes: the match starts inside a failed partial match.
+  EXPECT_TRUE(ContainsIgnoreCase("aaab", "AAB"));
+  EXPECT_TRUE(ContainsIgnoreCase("xAaAaB", "aab"));
+  EXPECT_FALSE(ContainsIgnoreCase("aaaa", "aab"));
+  // First and last offsets.
+  EXPECT_TRUE(ContainsIgnoreCase("Convener of", "CONVENER"));
+  EXPECT_TRUE(ContainsIgnoreCase("the CONVENER", "convener"));
+  // High bytes match only themselves: no Latin-1 case folding.
+  EXPECT_FALSE(ContainsIgnoreCase("\xC0", "\xE0"));
+  EXPECT_TRUE(ContainsIgnoreCase("x\xC9y", "X\xC9Y"));
 }
 
 TEST(StringsTest, StartsEndsWith) {

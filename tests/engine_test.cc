@@ -331,6 +331,62 @@ TEST(EngineUniversityTest, FindsEveryPlantedConvener) {
   EXPECT_EQ(labs->rows.size(), 3u);
 }
 
+/// The value of one "  name: value" counter line of FormatRunStats, 0 when
+/// the line is absent (zero counters are not printed).
+uint64_t PrintedCounter(const std::string& stats, const std::string& name) {
+  const std::string prefix = "  " + name + ": ";
+  const size_t at = stats.find("\n" + prefix);
+  if (at == std::string::npos) return 0;
+  return std::stoull(stats.substr(at + 1 + prefix.size()));
+}
+
+TEST(EngineUniversityTest, RunStatsShowDatabasesBuiltOnlyWhereEvaluated) {
+  // Paper §2.4: a node database is built only where a node-query is
+  // evaluated. The convener query's root and department pages are
+  // PureRouter visits (G.L admits no empty path there), so the run prints
+  // fewer database constructions than processed nodes — one per visit that
+  // evaluated, however many stages it evaluated there.
+  web::UniversityOptions options;
+  options.seed = 5;
+  options.departments = 3;
+  options.labs_per_department = 3;
+  const web::UniversityWeb uni = web::GenerateUniversityWeb(options);
+  Engine engine(&uni.web);
+  auto outcome = engine.Run(uni.convener_disql);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  const std::string stats = FormatRunStats(*outcome);
+  const uint64_t nodes = PrintedCounter(stats, "nodes_processed");
+  const uint64_t evaluated = PrintedCounter(stats, "node_queries_evaluated");
+  const uint64_t built = PrintedCounter(stats, "db_constructions");
+  EXPECT_EQ(nodes, outcome->server_stats.nodes_processed) << stats;
+  EXPECT_EQ(evaluated, outcome->server_stats.node_queries_evaluated);
+  EXPECT_GT(built, 0u) << stats;
+  EXPECT_LT(built, nodes) << stats;
+  EXPECT_LE(built, evaluated) << stats;
+  EXPECT_EQ(PrintedCounter(stats, "db_cache_hits"), 0u);  // not retained
+
+  // With result sharing, a second run answers every evaluation from the
+  // result cache: it visits as many nodes again and builds no database.
+  EngineOptions sharing;
+  sharing.server.share_results = true;
+  Engine shared(&uni.web, sharing);
+  auto first = shared.Run(uni.convener_disql);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = shared.Run(uni.convener_disql);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const std::string once = FormatRunStats(*first);
+  const std::string twice = FormatRunStats(*second);
+  EXPECT_EQ(PrintedCounter(twice, "nodes_processed"),
+            2 * PrintedCounter(once, "nodes_processed"));
+  EXPECT_EQ(PrintedCounter(twice, "db_constructions"),
+            PrintedCounter(once, "db_constructions"))
+      << twice;
+  EXPECT_LT(PrintedCounter(twice, "db_constructions"),
+            PrintedCounter(twice, "nodes_processed"));
+  EXPECT_GT(PrintedCounter(twice, "result_cache_hits"),
+            PrintedCounter(once, "result_cache_hits"));
+}
+
 TEST(EngineUniversityTest, FloatingLinksAreMissingDocumentsNotFailures) {
   web::UniversityOptions options;
   options.seed = 9;

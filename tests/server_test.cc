@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/strings.h"
 #include "core/engine.h"
 #include "disql/compiler.h"
 #include "net/sim.h"
@@ -18,6 +19,18 @@ namespace webdis::server {
 namespace {
 
 using query::CloneState;
+
+// Report payloads pinned from the build in which every visit constructed
+// all three relations before routing: /a's PureRouter report under L
+// (routed to /b, nothing evaluated) and /b's answer to `d.text contains
+// "beta"`.
+constexpr char kPureRouterReportHex[] =
+    "017409757365722e73697465282301000000010a687474703a2f2f682f6101000000"
+    "0201010a687474703a2f2f682f62010000000000000000010000000000000000";
+constexpr char kAnswerReportHex[] =
+    "017409757365722e73697465282301000000010a687474703a2f2f682f6201000000"
+    "0000000000010105642e75726c0101020a687474703a2f2f682f6201000000000000"
+    "0000";
 
 pre::Pre P(const std::string& s) { return pre::Pre::Parse(s).value(); }
 
@@ -216,6 +229,7 @@ class QueryServerTest : public ::testing::Test {
                             [this](const net::Endpoint&, net::MessageType type,
                                    const std::vector<uint8_t>& payload) {
                               ASSERT_EQ(type, net::MessageType::kReport);
+                              payloads_.push_back(payload);
                               serialize::Decoder dec(payload);
                               query::QueryReport qr;
                               ASSERT_TRUE(query::QueryReport::DecodeFrom(
@@ -229,9 +243,28 @@ class QueryServerTest : public ::testing::Test {
   query::WebQuery MakeClone(const std::string& pre_text,
                             const std::string& where_keyword,
                             std::vector<std::string> dests) {
-    auto compiled = disql::CompileDisql(
+    return CloneOf(
         "select d.url from document d such that \"http://h/a\" " + pre_text +
-        " d where d.text contains \"" + where_keyword + "\"");
+            " d where d.text contains \"" + where_keyword + "\"",
+        std::move(dests));
+  }
+
+  /// Example Query 2's two stages evaluated in one visit: q1 reads
+  /// DOCUMENT, q2 (its PRE is N, so it runs at the same node) reads
+  /// DOCUMENT and RELINFON.
+  query::WebQuery MakeConvenerClone(const std::string& url) {
+    return CloneOf("select d0.url, d1.url, r.text\n"
+                   "from document d0 such that \"" + url + "\" N d0,\n"
+                   "where d0.title contains \"lab\"\n"
+                   "     document d1 such that d0 N d1,\n"
+                   "     relinfon r such that r.delimiter = \"hr\",\n"
+                   "where r.text contains \"convener\"\n",
+                   {url});
+  }
+
+  query::WebQuery CloneOf(const std::string& disql,
+                          std::vector<std::string> dests) {
+    auto compiled = disql::CompileDisql(disql);
     EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
     query::WebQuery clone = compiled->web_query.Clone();
     clone.id.user = "t";
@@ -251,11 +284,25 @@ class QueryServerTest : public ::testing::Test {
     net_.RunUntilIdle();
   }
 
+  /// Replaces the server with a fresh one running `options`.
+  void Restart(const QueryServerOptions& options) {
+    server_->Stop();
+    server_ = std::make_unique<QueryServer>("h", &web_, &net_, options);
+    ASSERT_TRUE(server_->Start().ok());
+  }
+
   web::WebGraph web_;
   net::SimNetwork net_;
   std::unique_ptr<QueryServer> server_;
   std::vector<query::QueryReport> reports_;
+  std::vector<std::vector<uint8_t>> payloads_;  // raw kReport payloads
 };
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  std::string out;
+  for (const uint8_t b : bytes) out += StringPrintf("%02x", b);
+  return out;
+}
 
 TEST_F(QueryServerTest, EvaluatesAndReports) {
   Deliver(MakeClone("L*1", "beta", {"http://h/a"}));
@@ -407,6 +454,90 @@ TEST_F(QueryServerTest, DbCacheEvictsLeastRecentlyUsed) {
   EXPECT_EQ(server_->stats().db_constructions, 3u);
   Deliver(MakeClone("N", "alpha", {"http://h/b"}));  // miss: B was the victim
   EXPECT_EQ(server_->stats().db_constructions, 4u);
+}
+
+// -- Node databases are built on need (paper §2.4) ----------------------------
+
+TEST_F(QueryServerTest, PureRouterVisitBuildsNoDatabase) {
+  // Under L the empty path is not admitted at /a: the visit only routes, to
+  // /b, which evaluates. Only /b's visit builds a database, and both
+  // reports carry the bytes they did when every visit built one.
+  Deliver(MakeClone("L", "beta", {"http://h/a"}));
+  EXPECT_EQ(server_->stats().nodes_processed, 2u);
+  EXPECT_EQ(server_->stats().node_queries_evaluated, 1u);
+  EXPECT_EQ(server_->stats().db_constructions, 1u);
+  ASSERT_EQ(payloads_.size(), 2u);
+  EXPECT_EQ(Hex(payloads_[0]), kPureRouterReportHex);
+  EXPECT_EQ(Hex(payloads_[1]), kAnswerReportHex);
+  // A PureRouter visit with nowhere to go: nothing evaluated, nothing built.
+  Deliver(MakeClone("L", "beta", {"http://h/b"}));
+  EXPECT_EQ(server_->stats().nodes_processed, 3u);
+  EXPECT_EQ(server_->stats().db_constructions, 1u);
+}
+
+TEST_F(QueryServerTest, ResultCacheHitBuildsNoDatabase) {
+  QueryServerOptions options;
+  options.share_results = true;
+  options.dedup_enabled = false;  // re-evaluate the same clone
+  Restart(options);
+  const query::WebQuery clone = MakeClone("N", "beta", {"http://h/b"});
+  Deliver(clone);
+  EXPECT_EQ(server_->stats().result_cache_misses, 1u);
+  EXPECT_EQ(server_->stats().db_constructions, 1u);
+  Deliver(clone.Clone());
+  EXPECT_EQ(server_->stats().result_cache_hits, 1u);
+  EXPECT_EQ(server_->stats().node_queries_evaluated, 2u);
+  EXPECT_EQ(server_->stats().db_constructions, 1u);  // the hit built none
+  ASSERT_EQ(payloads_.size(), 2u);
+  EXPECT_EQ(Hex(payloads_[0]), kAnswerReportHex);
+  EXPECT_EQ(payloads_[1], payloads_[0]);
+}
+
+TEST_F(QueryServerTest, RetainedDatabaseGainsRelationInPlace) {
+  web::PageSpec c;
+  c.title = "lab alpha";
+  c.hr_blocks = {"The convener is Ada"};
+  ASSERT_TRUE(web_.AddDocument("http://h/c", web::RenderHtml(c)).ok());
+  const query::WebQuery clone = MakeConvenerClone("http://h/c");
+  QueryServerOptions options;
+  options.dedup_enabled = false;  // re-evaluate the same clone
+
+  // Purged per visit: both stages answer from one database.
+  Restart(options);
+  Deliver(clone);
+  ASSERT_EQ(reports_.size(), 1u);
+  ASSERT_EQ(reports_[0].node_reports[0].result_sets.size(), 2u);
+  EXPECT_EQ(server_->stats().node_queries_evaluated, 2u);
+  EXPECT_EQ(server_->stats().db_constructions, 1u);
+  const std::vector<std::vector<uint8_t>> purged = payloads_;
+
+  // Retained: stage 0 starts the entry with DOCUMENT, stage 1 extends it in
+  // place with RELINFON, and the budget counts the grown entry.
+  options.cache_databases = true;
+  Restart(options);
+  payloads_.clear();
+  Deliver(clone);
+  EXPECT_EQ(payloads_, purged);
+  EXPECT_EQ(server_->stats().db_constructions, 1u);
+  EXPECT_EQ(server_->stats().db_cache_hits, 0u);
+  const html::ParsedDocument& page = web_.Find("http://h/c")->parsed;
+  relational::Database document_only;
+  AddNodeRelations(page, {{"document", "d0"}}, &document_only);
+  relational::Database grown;
+  AddNodeRelations(page, {{"document", "d0"}}, &grown);
+  AddNodeRelations(page, {{"document", "d1"}, {"relinfon", "r"}}, &grown);
+  EXPECT_EQ(grown.RelationNames(),
+            (std::vector<std::string>{"document", "relinfon"}));
+  EXPECT_GT(grown.ApproxBytes(), document_only.ApproxBytes());
+  EXPECT_EQ(server_->stats().db_cache_bytes, grown.ApproxBytes());
+
+  // The next visit finds the entry complete: a hit that builds nothing.
+  payloads_.clear();
+  Deliver(clone.Clone());
+  EXPECT_EQ(payloads_, purged);
+  EXPECT_EQ(server_->stats().db_cache_hits, 1u);
+  EXPECT_EQ(server_->stats().db_constructions, 1u);
+  EXPECT_EQ(server_->stats().db_cache_bytes, grown.ApproxBytes());
 }
 
 // -- Cross-query result sharing (PROTOCOL.md §9.1) ---------------------------

@@ -19,18 +19,19 @@ baseline exactly for the same code, so a mismatch is printed as a warning
 
 Three further gates run within CURRENT alone (no baseline needed):
 
-  sharing      when the multiquery bench emits both s2_multiquery_q16 and
-               s2_multiquery_shared_q16 rows, cross-query sharing must keep
-               shared message traffic at or below half the unshared count
-               (the sublinearity claim of the result cache + batch
-               envelopes).
+  sharing      in a file with any s2_multiquery_* row, cross-query sharing
+               must keep the s2_multiquery_shared_q16 row's message traffic
+               at or below half the s2_multiquery_q16 row's (the
+               sublinearity claim of the result cache + batch envelopes).
+               A multiquery file missing either row is a violation.
 
-  speedup      when the parallel bench emits p1_parallel rows for workers=1
-               and workers=4 and the recording machine had >= 4 cores (the
-               rows carry a "cores" field), the 4-worker wall clock must be
-               at most half the 1-worker wall clock — parallel execution
-               has to actually pay. Skipped (with a note) on narrower
-               machines, where there is nothing to measure.
+  speedup      in a file with any p1_parallel row, the rows for workers=1
+               and workers=4 must both be present, and when the recording
+               machine had >= 4 cores (the rows carry a "cores" field), the
+               4-worker wall clock must be at most half the 1-worker wall
+               clock — parallel execution has to actually pay. Skipped
+               (with a note) on narrower machines, where there is nothing to
+               measure.
 
   memory       any row carrying a bytes_per_document field (the p1 bench's
                p1_web_memory row describes its 10^5-document lazy web) must
@@ -98,13 +99,21 @@ def check_sharing(current: dict[tuple[str, int], dict]) -> list[str]:
     """Sublinearity gate: shared q16 traffic must be <= half of unshared.
 
     Returns a list of human-readable violations (empty when the gate passes
-    or the multiquery rows are absent). Each violation names the metric and
-    its delta so a failing CI log is actionable on its own.
+    or the file holds no multiquery rows at all). Each violation names the
+    metric and its delta so a failing CI log is actionable on its own.
     """
-    plain = current.get((f"s2_multiquery_q{SHARING_GATE_Q}", 0))
-    shared = current.get((f"s2_multiquery_shared_q{SHARING_GATE_Q}", 0))
+    pair = (f"s2_multiquery_q{SHARING_GATE_Q}",
+            f"s2_multiquery_shared_q{SHARING_GATE_Q}")
+    plain, shared = (current.get((name, 0)) for name in pair)
     if plain is None or shared is None:
-        return []
+        if not any(workload.startswith("s2_multiquery_")
+                   for workload, _ in current):
+            return []
+        # A multiquery file without the gated pair would pass vacuously.
+        missing = [name for name, row in zip(pair, (plain, shared))
+                   if row is None]
+        return [f"multiquery rows present but row(s) {', '.join(missing)} "
+                "(workers=0) missing — cannot evaluate the sharing gate"]
     violations: list[str] = []
     for field in ("messages", "bytes"):
         missing = [row["workload"] for row in (plain, shared)
@@ -143,17 +152,24 @@ SPEEDUP_GATE_MIN_CORES = 4
 def check_speedup(current: dict[tuple[str, int], dict]) -> list[str]:
     """Speedup-curve gate: 4 workers must halve the 1-worker wall clock.
 
-    Evaluated within CURRENT alone whenever the p1_parallel rows are
-    present; only enforced when the rows were recorded on a machine with at
-    least SPEEDUP_GATE_MIN_CORES hardware threads (the rows say so via
-    their "cores" field — a 1-core CI runner cannot demonstrate a speedup
-    and is skipped with a note, not a vacuous pass).
+    Evaluated within CURRENT alone whenever it holds p1_parallel rows,
+    which must include workers=1 and workers=4; only enforced when the rows
+    were recorded on a machine with at least SPEEDUP_GATE_MIN_CORES hardware
+    threads (the rows say so via their "cores" field — a 1-core CI runner
+    cannot demonstrate a speedup and is skipped with a note, not a vacuous
+    pass).
     """
     lo, hi = SPEEDUP_GATE_WORKERS
     base = current.get(("p1_parallel", lo))
     wide = current.get(("p1_parallel", hi))
     if base is None or wide is None:
-        return []
+        if not any(workload == "p1_parallel" for workload, _ in current):
+            return []
+        # Parallel rows without the gated pair would pass vacuously.
+        missing = [f"workers={workers}" for workers, row in
+                   ((lo, base), (hi, wide)) if row is None]
+        return [f"p1_parallel rows present but row(s) {', '.join(missing)} "
+                "missing — cannot evaluate the speedup gate"]
     violations: list[str] = []
     missing = [f"workers={row_workers}" for row_workers, row in
                ((lo, base), (hi, wide)) if "cores" not in row]
