@@ -1,15 +1,17 @@
 // M1 — microbenchmarks of every substrate (google-benchmark): HTML parsing,
 // the per-node database constructor, node-query evaluation, PRE operations,
-// DISQL compilation, and clone (de)serialization. These are the per-hop
-// costs every query-server pays.
+// DISQL compilation, clone (de)serialization, query-id keys and the
+// durability checksum. These are the per-hop costs every query-server pays.
 #include <benchmark/benchmark.h>
 
 #include "disql/compiler.h"
 #include "html/parser.h"
 #include "pre/log_equivalence.h"
 #include "pre/pre.h"
+#include "query/query_id.h"
 #include "relational/eval.h"
 #include "serialize/encoder.h"
+#include "serialize/framing.h"
 #include "server/db_constructor.h"
 #include "web/pagegen.h"
 
@@ -177,6 +179,36 @@ void BM_CloneDeserialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CloneDeserialize);
+
+void BM_QueryIdKey(benchmark::State& state) {
+  // Rendered for the log table, the terminated set and the result merge on
+  // every clone, visit and report.
+  query::QueryId id;
+  id.user = "user17";
+  id.reply_host = "client3";
+  id.reply_port = 40017;
+  id.query_number = 1234;
+  for (auto _ : state) {
+    std::string key = id.Key();
+    benchmark::DoNotOptimize(key);
+  }
+}
+BENCHMARK(BM_QueryIdKey);
+
+void BM_Crc32(benchmark::State& state) {
+  // 24 KiB: the mean snapshot body on the shared_durable benchmark workload.
+  std::vector<uint8_t> body(24 * 1024);
+  for (size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    uint32_t crc = serialize::Crc32(body);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(body.size()));
+}
+BENCHMARK(BM_Crc32);
 
 }  // namespace
 }  // namespace webdis

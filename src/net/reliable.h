@@ -237,6 +237,13 @@ class ReliableReceiver {
   /// acked transfer twice" survive a restart: a server that persists it can
   /// re-ack post-crash retransmissions instead of reprocessing them.
 
+  /// Number of receipts ForEachSeen visits.
+  size_t SeenCount() const {
+    size_t count = 0;
+    for (const auto& [from, seqs] : seen_) count += seqs.size();
+    return count;
+  }
+
   /// Visits every (sender, transfer_seq) receipt in deterministic order.
   void ForEachSeen(
       const std::function<void(const Endpoint& from, uint64_t seq)>& fn)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/logging.h"
 #include "serialize/encoder.h"
 #include "serialize/framing.h"
 
@@ -172,38 +173,102 @@ WalReadResult DecodeWal(const std::vector<uint8_t>& bytes) {
 
 // -- Snapshot codec ----------------------------------------------------------
 
-std::vector<uint8_t> EncodeSnapshot(const DurableServerState& state) {
-  serialize::Encoder body;
-  body.PutU64(state.last_wal_id);
-  state.log_table.EncodeTo(&body);
-  body.PutVarint(state.terminated_queries.size());
-  for (const std::string& key : state.terminated_queries) {
-    body.PutString(key);
-  }
-  body.PutVarint(state.seen_transfers.size());
-  for (const auto& [from, seq] : state.seen_transfers) {
-    body.PutString(from.host);
-    body.PutU16(from.port);
-    body.PutVarint(seq);
-  }
-  body.PutVarint(state.pending_clones.size());
-  for (const DurablePendingClone& pending : state.pending_clones) {
-    body.PutU64(pending.record_id);
-    body.PutString(pending.from.host);
-    body.PutU16(pending.from.port);
-    body.PutBool(pending.tracked);
-    body.PutU64(pending.seq);
-    pending.clone.EncodeTo(&body);
-  }
-  const std::vector<uint8_t> body_bytes = body.Release();
+SnapshotWriter::SnapshotWriter(uint64_t last_wal_id,
+                               const LogTable& log_table) {
+  // Header first, with its length and CRC left zero until Finish: the body
+  // is encoded in place behind it, never copied.
+  enc_.PutU32(kSnapshotMagic);
+  enc_.PutU8(kSnapshotVersion);
+  enc_.PutU32(0);
+  enc_.PutU32(0);
+  enc_.PutU64(last_wal_id);
+  log_table.EncodeTo(&enc_);
+}
 
-  serialize::Encoder out;
-  out.PutU32(kSnapshotMagic);
-  out.PutU8(kSnapshotVersion);
-  out.PutU32(static_cast<uint32_t>(body_bytes.size()));
-  out.PutU32(serialize::Crc32(body_bytes));
-  out.PutRaw(body_bytes.data(), body_bytes.size());
-  return out.Release();
+void SnapshotWriter::Begin(Section next, size_t count) {
+  WEBDIS_CHECK(static_cast<int>(next) == static_cast<int>(section_) + 1 &&
+               items_left_ == 0)
+      << "snapshot section out of order";
+  section_ = next;
+  items_left_ = count;
+  enc_.PutVarint(count);
+}
+
+void SnapshotWriter::Take(Section section) {
+  WEBDIS_CHECK(section == section_ && items_left_ > 0)
+      << "snapshot item outside its section";
+  --items_left_;
+}
+
+void SnapshotWriter::BeginTerminatedQueries(size_t count) {
+  Begin(Section::kTerminated, count);
+}
+
+void SnapshotWriter::AddTerminatedQuery(const std::string& query_key) {
+  Take(Section::kTerminated);
+  enc_.PutString(query_key);
+}
+
+void SnapshotWriter::BeginSeenTransfers(size_t count) {
+  Begin(Section::kSeen, count);
+}
+
+void SnapshotWriter::AddSeenTransfer(const net::Endpoint& from,
+                                     uint64_t seq) {
+  Take(Section::kSeen);
+  enc_.PutString(from.host);
+  enc_.PutU16(from.port);
+  enc_.PutVarint(seq);
+}
+
+void SnapshotWriter::BeginPendingClones(size_t count) {
+  Begin(Section::kPending, count);
+}
+
+void SnapshotWriter::AddPendingClone(uint64_t record_id,
+                                     const net::Endpoint& from, bool tracked,
+                                     uint64_t seq,
+                                     const query::WebQuery& clone) {
+  Take(Section::kPending);
+  enc_.PutU64(record_id);
+  enc_.PutString(from.host);
+  enc_.PutU16(from.port);
+  enc_.PutBool(tracked);
+  enc_.PutU64(seq);
+  clone.EncodeTo(&enc_);
+}
+
+std::vector<uint8_t> SnapshotWriter::Finish() && {
+  WEBDIS_CHECK(section_ == Section::kPending && items_left_ == 0)
+      << "snapshot finished before its last section";
+  std::vector<uint8_t> image = enc_.Release();
+  const size_t body_length = image.size() - kSnapshotHeaderSize;
+  const uint32_t crc =
+      serialize::Crc32(image.data() + kSnapshotHeaderSize, body_length);
+  // Little-endian u32s at offsets 5 (length) and 9 (crc), as PutU32 writes.
+  for (int i = 0; i < 4; ++i) {
+    image[5 + i] = static_cast<uint8_t>(body_length >> (8 * i));
+    image[9 + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  return image;
+}
+
+std::vector<uint8_t> EncodeSnapshot(const DurableServerState& state) {
+  SnapshotWriter writer(state.last_wal_id, state.log_table);
+  writer.BeginTerminatedQueries(state.terminated_queries.size());
+  for (const std::string& key : state.terminated_queries) {
+    writer.AddTerminatedQuery(key);
+  }
+  writer.BeginSeenTransfers(state.seen_transfers.size());
+  for (const auto& [from, seq] : state.seen_transfers) {
+    writer.AddSeenTransfer(from, seq);
+  }
+  writer.BeginPendingClones(state.pending_clones.size());
+  for (const DurablePendingClone& pending : state.pending_clones) {
+    writer.AddPendingClone(pending.record_id, pending.from, pending.tracked,
+                           pending.seq, pending.clone);
+  }
+  return std::move(writer).Finish();
 }
 
 Status DecodeSnapshot(const std::vector<uint8_t>& bytes,

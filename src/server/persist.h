@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "net/transport.h"
 #include "query/web_query.h"
+#include "serialize/encoder.h"
 #include "server/log_table.h"
 
 namespace webdis::server {
@@ -198,6 +199,43 @@ struct DurableServerState {
   std::vector<std::string> terminated_queries;           // QueryId::Key()s
   std::vector<std::pair<net::Endpoint, uint64_t>> seen_transfers;
   std::vector<DurablePendingClone> pending_clones;
+};
+
+/// Writes one snapshot image (header + checksummed body) straight from
+/// whoever holds the durable state, section by section in format order:
+/// last_wal_id and the log table at construction, then the terminated
+/// query keys, the seen transfers and the pending clones. Each list
+/// section opens with its item count and then takes exactly that many
+/// items. EncodeSnapshot and QueryServer's live snapshot both write
+/// through it, so the format has one encoder and a server never copies
+/// its state just to persist it.
+class SnapshotWriter {
+ public:
+  SnapshotWriter(uint64_t last_wal_id, const LogTable& log_table);
+
+  void BeginTerminatedQueries(size_t count);
+  void AddTerminatedQuery(const std::string& query_key);
+  void BeginSeenTransfers(size_t count);
+  void AddSeenTransfer(const net::Endpoint& from, uint64_t seq);
+  void BeginPendingClones(size_t count);
+  void AddPendingClone(uint64_t record_id, const net::Endpoint& from,
+                       bool tracked, uint64_t seq,
+                       const query::WebQuery& clone);
+
+  /// Fills in the header's body length and CRC-32 and returns the image.
+  std::vector<uint8_t> Finish() &&;
+
+ private:
+  enum class Section : uint8_t { kHead, kTerminated, kSeen, kPending };
+  /// Opens `next`, which must follow the current section, once the current
+  /// one has all its items.
+  void Begin(Section next, size_t count);
+  /// Counts one item against the open section `section`.
+  void Take(Section section);
+
+  serialize::Encoder enc_;
+  Section section_ = Section::kHead;
+  size_t items_left_ = 0;
 };
 
 /// Serializes state into a full snapshot image (header + checksummed body).

@@ -1613,30 +1613,29 @@ void QueryServer::MaybeSnapshot() {
 }
 
 void QueryServer::WriteSnapshotNow() {
-  DurableServerState state;
-  state.last_wal_id = next_wal_id_ - 1;
-  state.log_table = log_table_;
-  state.terminated_queries.assign(terminated_queries_.begin(),
-                                  terminated_queries_.end());
-  receiver_.ForEachSeen([&state](const net::Endpoint& from, uint64_t seq) {
-    state.seen_transfers.emplace_back(from, seq);
+  // Encoded in place from the live state: nothing is copied first.
+  SnapshotWriter writer(next_wal_id_ - 1, log_table_);
+  writer.BeginTerminatedQueries(terminated_queries_.size());
+  for (const std::string& key : terminated_queries_) {
+    writer.AddTerminatedQuery(key);
+  }
+  writer.BeginSeenTransfers(receiver_.SeenCount());
+  receiver_.ForEachSeen([&writer](const net::Endpoint& from, uint64_t seq) {
+    writer.AddSeenTransfer(from, seq);
   });
+  writer.BeginPendingClones(PendingMembers());
   for (const QueuedClone& queued : pending_clones_) {
     // Batch units flatten to one per-member entry (the snapshot codec is
     // member-granular). Carrier rule: the unit's single transfer seq rides
     // on member 0 only — a second entry re-committing it at drain time
     // would read as a replay and silently drop that member.
     for (size_t i = 0; i < queued.clones.size(); ++i) {
-      DurablePendingClone pending;
-      pending.record_id = queued.wal_id == 0 ? 0 : queued.wal_id + i;
-      pending.from = queued.from;
-      pending.tracked = queued.tracked && i == 0;
-      pending.seq = i == 0 ? queued.seq : 0;
-      pending.clone = queued.clones[i].Clone();
-      state.pending_clones.push_back(std::move(pending));
+      writer.AddPendingClone(queued.wal_id == 0 ? 0 : queued.wal_id + i,
+                             queued.from, queued.tracked && i == 0,
+                             i == 0 ? queued.seq : 0, queued.clones[i]);
     }
   }
-  const Status status = persist_->WriteSnapshot(EncodeSnapshot(state));
+  const Status status = persist_->WriteSnapshot(std::move(writer).Finish());
   if (!status.ok()) {
     ++stats_.wal_append_errors;
     WEBDIS_LOG(kWarning) << host_ << ": snapshot write failed: "

@@ -22,6 +22,32 @@ TEST(QueryIdTest, KeyFormat) {
   EXPECT_EQ(TestId().Key(), "maya@user.site:9001#3");
 }
 
+TEST(QueryIdTest, KeyKeepsBytesPastEmbeddedNul) {
+  // Fields come off the wire through GetString and may hold any byte.
+  QueryId a = TestId();
+  a.user = std::string("ma\0ya", 5);
+  QueryId b = TestId();
+  b.user = std::string("ma\0yb", 5);
+  EXPECT_EQ(a.Key(), std::string("ma\0ya@user.site:9001#3", 22));
+  EXPECT_NE(a.Key(), b.Key());
+  QueryId c = TestId();
+  c.reply_host = std::string("user\0a", 6);
+  QueryId d = TestId();
+  d.reply_host = std::string("user\0b", 6);
+  EXPECT_EQ(c.Key(), std::string("maya@user\0a:9001#3", 18));
+  EXPECT_NE(c.Key(), d.Key());
+}
+
+TEST(QueryIdTest, KeyAtFieldMaxima) {
+  QueryId id = TestId();
+  id.reply_port = 65535;
+  id.query_number = 4294967295u;
+  EXPECT_EQ(id.Key(), "maya@user.site:65535#4294967295");
+  id.reply_port = 0;
+  id.query_number = 0;
+  EXPECT_EQ(id.Key(), "maya@user.site:0#0");
+}
+
 TEST(QueryIdTest, RoundTrip) {
   serialize::Encoder enc;
   TestId().EncodeTo(&enc);

@@ -249,6 +249,42 @@ TEST(FramingTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->payload, payload);
 }
 
+// The CRC-32 definition one bit at a time: the specification the table
+// driven Crc32 must reproduce for every length and alignment.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(FramingTest, Crc32MatchesBitwiseReference) {
+  constexpr size_t kMaxLength = 64 * 1024;
+  constexpr size_t kMaxOffset = 7;
+  Rng rng(32);
+  std::vector<uint8_t> buffer(kMaxLength + kMaxOffset);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.Uniform(256));
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 64; ++len) lengths.push_back(len);
+  for (int i = 0; i < 16; ++i) {
+    lengths.push_back(rng.UniformRange(65, kMaxLength));
+  }
+  lengths.push_back(kMaxLength);
+  // Every start offset 0-7 shifts which bytes land in the 8-byte steps
+  // and which in the tail loop.
+  for (const size_t len : lengths) {
+    for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
+      const uint8_t* data = buffer.data() + offset;
+      ASSERT_EQ(Crc32(data, len), BitwiseCrc32(data, len))
+          << "length " << len << " offset " << offset;
+    }
+  }
+}
+
 TEST(FramingTest, EmptyPayload) {
   const std::vector<uint8_t> frame = EncodeFrame(1, {});
   auto decoded = DecodeFrame(frame);

@@ -772,6 +772,139 @@ TEST_F(QueryServerTest, RecoveryStatsDistinguishThreeRestartPaths) {
   EXPECT_EQ(server_->stats().cold_starts, 0u);
 }
 
+// -- Durability: the snapshot a live server writes (PROTOCOL.md §8.2) --------
+
+// The image LiveSnapshotHoldsEveryDurableSection reads back, frozen from
+// the build that copied the server's state into a DurableServerState before
+// encoding it: the in-place encoder must write the same bytes.
+constexpr char kLiveSnapshotHex[] =
+    "534e4150" "01" "0d010000" "e35d4d38"  // magic, version, length, crc
+    "0300000000000000"                     // last_wal_id 3
+    "01"                                   // log table: 1 group
+    "0a687474703a2f2f682f61"               //   node "http://h/a"
+    "0f7440636c69656e743a373030302331"     //   query "t@client:7000#1"
+    "01000000" "01" "00"                   //   num_q 1, 1 PRE: empty
+    "01"                                   // terminated: 1 key
+    "0f7440636c69656e743a373030302339"     //   "t@client:7000#9"
+    "02"                                   // seen: 2 transfers
+    "0470656572" "0100" "01"               //   ("peer",1) seq 1
+    "0470656572" "0100" "02"               //   ("peer",1) seq 2
+    "02"                                   // pending: 2 members
+    "0200000000000000" "0470656572" "0100" //   record 2 from ("peer",1),
+    "01" "0200000000000000"                //   tracked, seq 2:
+    "017406636c69656e74581b02000000010164"  //   query 2 at /a
+    "0108646f63756d656e74016401030101640474657874000205616c7068610101"
+    "640375726c010000010a687474703a2f2f682f610000"
+    "0300000000000000" "0470656572" "0100" //   record 3 from ("peer",1),
+    "00" "0000000000000000"                //   untracked, seq 0:
+    "017406636c69656e74581b03000000010164"  //   query 3 at /b
+    "0108646f63756d656e74016401030101640474657874000205616c7068610101"
+    "640375726c010000010a687474703a2f2f682f620000";
+
+TEST_F(QueryServerTest, LiveSnapshotHoldsEveryDurableSection) {
+  server_->Stop();
+  MemoryPersistBackend backend{PersistFaultRules{}};
+  QueryServerOptions options;
+  options.retry.enabled = true;  // tracked transfers fill the seen history
+  options.persist.enabled = true;
+  options.persist.snapshot_every_clones = 1;
+  options.persist.wal_compact_bytes = 0;
+  options.admission.max_pending = 4;
+  options.admission.service_time = 1 * kSecond;
+  server_ = std::make_unique<QueryServer>("h", &web_, &net_, options);
+  server_->SetPersistence(&backend);
+  ASSERT_TRUE(server_->Start().ok());
+
+  // Reports arrive enveloped under retry, so these queries reply to a
+  // client that acks them instead of to the fixture's report decoder.
+  const net::Endpoint server{"h", kQueryServerPort};
+  const net::Endpoint peer{"peer", 1};
+  const net::Endpoint client{"client", 7000};
+  ASSERT_TRUE(net_.Listen(peer, [](const net::Endpoint&, net::MessageType,
+                                   const std::vector<uint8_t>&) {})
+                  .ok());
+  const auto ack_report = [this, client](const net::Endpoint& from,
+                                         net::MessageType,
+                                         const std::vector<uint8_t>& payload) {
+    uint64_t seq = 0;
+    ASSERT_TRUE(net::ReliableReceiver::PeekSeq(payload, &seq));
+    serialize::Encoder ack;
+    ack.PutU64(seq);
+    ASSERT_TRUE(net_.Send(client, from, net::MessageType::kDeliveryAck,
+                          ack.Release())
+                    .ok());
+  };
+  ASSERT_TRUE(net_.Listen(client, ack_report).ok());
+  const auto clone_for = [&](uint32_t query_number, const std::string& url) {
+    query::WebQuery clone = MakeClone("N", "alpha", {url});
+    clone.id.reply_host = client.host;
+    clone.id.reply_port = client.port;
+    clone.id.query_number = query_number;
+    return clone;
+  };
+  uint64_t next_seq = 1;
+  const auto send_tracked = [&](net::MessageType type,
+                                const serialize::Encoder& body) {
+    serialize::Encoder enveloped;
+    enveloped.PutU64(next_seq++);
+    enveloped.PutRaw(body.data().data(), body.size());
+    ASSERT_TRUE(net_.Send(peer, server, type, enveloped.Release()).ok());
+  };
+
+  // Query 9 is terminated; query 1's clone queues first, then a
+  // two-member batch (queries 2 and 3) queues behind it. Query 1 drains at
+  // 1 s and completes, which writes the snapshot; the crash at 1.5 s comes
+  // before the batch drains, so that snapshot is the last.
+  serialize::Encoder terminate;
+  clone_for(9, "http://h/a").id.EncodeTo(&terminate);
+  ASSERT_TRUE(net_.Send(client, server, net::MessageType::kTerminate,
+                        terminate.Release())
+                  .ok());
+  serialize::Encoder single;
+  clone_for(1, "http://h/a").EncodeTo(&single);
+  send_tracked(net::MessageType::kWebQuery, single);
+  query::CloneBatch batch;
+  batch.clones.push_back(clone_for(2, "http://h/a"));
+  batch.clones.push_back(clone_for(3, "http://h/b"));
+  serialize::Encoder batch_body;
+  batch.EncodeTo(&batch_body);
+  send_tracked(net::MessageType::kCloneBatch, batch_body);
+  net_.ScheduleAfter(1500 * kMillisecond, [this] { server_->Crash(); });
+  net_.RunUntilIdle();
+  ASSERT_EQ(server_->stats().snapshots_written, 1u);
+
+  auto image = backend.ReadSnapshot();
+  ASSERT_TRUE(image.ok());
+  EXPECT_EQ(Hex(*image), kLiveSnapshotHex);
+  DurableServerState state;
+  ASSERT_TRUE(DecodeSnapshot(*image, &state).ok());
+  EXPECT_EQ(state.log_table.size(), 1u);  // query 1's visit to /a
+  EXPECT_EQ(state.terminated_queries,
+            std::vector<std::string>{clone_for(9, "http://h/a").id.Key()});
+  EXPECT_EQ(state.seen_transfers,
+            (std::vector<std::pair<net::Endpoint, uint64_t>>{{peer, 1},
+                                                             {peer, 2}}));
+  // The batch unit flattens to one entry per member. Carrier rule: the
+  // unit's one transfer seq rides on member 0 only.
+  ASSERT_EQ(state.pending_clones.size(), 2u);
+  const DurablePendingClone& carrier = state.pending_clones[0];
+  const DurablePendingClone& rider = state.pending_clones[1];
+  EXPECT_EQ(rider.record_id, carrier.record_id + 1);
+  EXPECT_EQ(carrier.from, peer);
+  EXPECT_EQ(rider.from, peer);
+  EXPECT_TRUE(carrier.tracked);
+  EXPECT_EQ(carrier.seq, 2u);
+  EXPECT_FALSE(rider.tracked);
+  EXPECT_EQ(rider.seq, 0u);
+  EXPECT_EQ(carrier.clone.id.query_number, 2u);
+  EXPECT_EQ(rider.clone.id.query_number, 3u);
+
+  // The server recovers both queued members from that image.
+  ASSERT_TRUE(server_->Restart().ok());
+  EXPECT_EQ(server_->stats().recovered_from_snapshot, 1u);
+  EXPECT_EQ(server_->stats().recovered_clones, 2u);
+}
+
 TEST(RecoveryStatsFormatTest, FormatRunStatsEmitsRecoveryCounters) {
   core::RunOutcome outcome;
   outcome.server_stats.recovered_from_snapshot = 1;
