@@ -12,28 +12,10 @@ namespace webdis::client {
 
 std::string QueryRunStats::ToText() const {
   std::string out;
-  const auto line = [&out](const char* name, uint64_t value) {
+  ForEachCounter(*this, [&out](const char* name, uint64_t value) {
     if (value != 0) out += StringPrintf("%s: %llu\n", name,
                                         static_cast<unsigned long long>(value));
-  };
-  line("reports_received", reports_received);
-  line("node_reports", node_reports);
-  line("duplicate_drop_reports", duplicate_drop_reports);
-  line("undeliverable_reports", undeliverable_reports);
-  line("budget_exceeded_reports", budget_exceeded_reports);
-  line("site_retired_reports", site_retired_reports);
-  line("epoch_gated_reports", epoch_gated_reports);
-  line("result_rows_received", result_rows_received);
-  line("duplicate_rows_filtered", duplicate_rows_filtered);
-  line("termination_messages_sent", termination_messages_sent);
-  line("root_acks_received", root_acks_received);
-  line("report_batches_received", report_batches_received);
-  line("report_batch_members_received", report_batch_members_received);
-  line("batch_members_dropped_closed", batch_members_dropped_closed);
-  line("entries_gc", entries_gc);
-  line("redeliveries_suppressed", redeliveries_suppressed);
-  line("dispatch_send_errors", dispatch_send_errors);
-  line("termination_send_failures", termination_send_failures);
+  });
   return out;
 }
 

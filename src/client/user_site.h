@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "client/cht.h"
@@ -82,42 +83,25 @@ struct UserSiteOptions {
   std::function<uint64_t()> epoch_source;
 };
 
-/// Per-query client-side statistics.
+/// Per-query client-side statistics: one field per line of
+/// client/query_run_counters.def, in that order.
 struct QueryRunStats {
-  uint64_t reports_received = 0;
-  uint64_t node_reports = 0;
-  uint64_t duplicate_drop_reports = 0;
-  uint64_t undeliverable_reports = 0;
-  uint64_t result_rows_received = 0;
-  uint64_t duplicate_rows_filtered = 0;
-  uint64_t termination_messages_sent = 0;
-  uint64_t root_acks_received = 0;  // ack-tree termination baseline
-  // Failure handling (PROTOCOL.md):
-  uint64_t entries_gc = 0;  // CHT keys garbage-collected past the deadline
-  uint64_t redeliveries_suppressed = 0;  // duplicate report transfers absorbed
-  // [[nodiscard]] audit counters — send errors that are observed (never
-  // silently dropped) but where the protocol's recovery is asynchronous:
-  uint64_t dispatch_send_errors = 0;     // transient initial-dispatch errors
-  uint64_t termination_send_failures = 0;  // kTerminate lost; passive
-                                           // termination still covers it
-  // Overload & degradation (PROTOCOL.md §7):
-  uint64_t budget_exceeded_reports = 0;  // visits shed/expired/truncated
-  // Dynamic web & churn (PROTOCOL.md §10):
-  uint64_t site_retired_reports = 0;  // node reports naming a retired site
-  uint64_t epoch_gated_reports = 0;   // nodes hidden by the epoch pin
-  // Cross-query sharing (PROTOCOL.md §9): batched report envelopes arriving
-  // on this query's socket as the batch carrier, and members addressed to a
-  // query whose result socket already closed (the batch rode the carrier's
-  // open socket past the refusal an individual send would have hit; the
-  // drop below IS the passive termination of §2.8 for that member).
-  uint64_t report_batches_received = 0;
-  uint64_t report_batch_members_received = 0;
-  uint64_t batch_members_dropped_closed = 0;
+#define WEBDIS_CLIENT_COUNTER(name) uint64_t name = 0;
+#include "client/query_run_counters.def"
 
   /// Human-readable dump of the non-zero counters, one `name: value` per
   /// line — degradation should be observable, not just counted.
   std::string ToText() const;
 };
+
+/// Calls fn(name, value) for every counter of `stats` in declaration
+/// order; `value` refers to the field (writable when `stats` is).
+template <typename Stats, typename Fn>
+  requires std::is_same_v<std::remove_const_t<Stats>, QueryRunStats>
+void ForEachCounter(Stats& stats, Fn&& fn) {
+#define WEBDIS_CLIENT_COUNTER(name) fn(#name, stats.name);
+#include "client/query_run_counters.def"
+}
 
 /// The WEBDIS client process at the user site: parses nothing itself (takes
 /// a CompiledQuery), opens the listening result socket, dispatches the query

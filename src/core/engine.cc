@@ -89,61 +89,13 @@ std::string FormatRunStats(const RunOutcome& outcome) {
   for (const std::string& line : Split(client, '\n')) {
     if (!line.empty()) out += "  " + line + "\n";
   }
-  const auto emit = [&out](const char* name, uint64_t value) {
-    if (value != 0) out += StringPrintf("  %s: %llu\n", name,
-                                        (unsigned long long)value);
-  };
   out += "servers:\n";
-  const server::QueryServerStats& s = outcome.server_stats;
-  emit("clones_received", s.clones_received);
-  emit("clones_forwarded", s.clones_forwarded);
-  emit("nodes_processed", s.nodes_processed);
-  emit("node_queries_evaluated", s.node_queries_evaluated);
-  emit("db_constructions", s.db_constructions);
-  emit("db_cache_hits", s.db_cache_hits);
-  emit("report_send_errors", s.report_send_errors);
-  emit("forward_send_errors", s.forward_send_errors);
-  emit("undeliverable_forwards", s.undeliverable_forwards);
-  emit("retries", s.retries);
-  emit("retry_exhausted", s.retry_exhausted);
-  emit("clones_shed", s.clones_shed);
-  emit("clones_evicted", s.clones_evicted);
-  emit("overload_nacks_sent", s.overload_nacks_sent);
-  emit("overload_nacks_received", s.overload_nacks_received);
-  emit("queue_peak", s.queue_peak);
-  emit("budget_expired_clones", s.budget_expired_clones);
-  emit("budget_vetoed_forwards", s.budget_vetoed_forwards);
-  emit("rows_truncated", s.rows_truncated);
-  emit("breaker_trips", s.breaker_trips);
-  emit("breaker_short_circuits", s.breaker_short_circuits);
-  emit("breaker_probes", s.breaker_probes);
-  emit("breaker_recoveries", s.breaker_recoveries);
-  emit("db_cache_evictions", s.db_cache_evictions);
-  emit("db_cache_bytes", s.db_cache_bytes);
-  emit("snapshots_written", s.snapshots_written);
-  emit("wal_records_appended", s.wal_records_appended);
-  emit("wal_append_errors", s.wal_append_errors);
-  emit("recovered_from_snapshot", s.recovered_from_snapshot);
-  emit("replayed_wal_records", s.replayed_wal_records);
-  emit("cold_starts", s.cold_starts);
-  emit("wal_records_discarded", s.wal_records_discarded);
-  emit("snapshot_load_rejected", s.snapshot_load_rejected);
-  emit("recovered_clones", s.recovered_clones);
-  emit("result_cache_hits", s.result_cache_hits);
-  emit("result_cache_misses", s.result_cache_misses);
-  emit("result_cache_evictions", s.result_cache_evictions);
-  emit("result_cache_bytes", s.result_cache_bytes);
-  emit("clone_batches_sent", s.clone_batches_sent);
-  emit("clone_batch_members_sent", s.clone_batch_members_sent);
-  emit("clone_batches_received", s.clone_batches_received);
-  emit("clone_batch_members_received", s.clone_batch_members_received);
-  emit("report_batches_sent", s.report_batches_sent);
-  emit("report_batch_members_sent", s.report_batch_members_sent);
-  emit("batches_shed", s.batches_shed);
-  emit("site_retired_nacks_sent", s.site_retired_nacks_sent);
-  emit("site_retired_nacks_received", s.site_retired_nacks_received);
-  emit("retired_reports_sent", s.retired_reports_sent);
-  emit("epoch_gated_nodes", s.epoch_gated_nodes);
+  server::ForEachCounter(
+      outcome.server_stats, [&out](const char* name, uint64_t value) {
+        if (value != 0) {
+          out += StringPrintf("  %s: %llu\n", name, (unsigned long long)value);
+        }
+      });
   if (outcome.workers > 0) {
     // Cumulative over the network's lifetime, not per query: occupancy is a
     // property of how the whole run's slices partitioned.
@@ -384,68 +336,7 @@ TrafficSummary Subtract(const TrafficSummary& a, const TrafficSummary& b) {
 server::QueryServerStats Engine::AggregateServerStats() const {
   server::QueryServerStats total;
   for (const auto& [host, qs] : query_servers_) {
-    const server::QueryServerStats& s = qs->stats();
-    total.clones_received += s.clones_received;
-    total.nodes_processed += s.nodes_processed;
-    total.node_queries_evaluated += s.node_queries_evaluated;
-    total.answers_found += s.answers_found;
-    total.db_constructions += s.db_constructions;
-    total.db_cache_hits += s.db_cache_hits;
-    total.db_cache_evictions += s.db_cache_evictions;
-    total.db_cache_bytes += s.db_cache_bytes;
-    total.duplicates_dropped += s.duplicates_dropped;
-    total.superset_rewrites += s.superset_rewrites;
-    total.clones_forwarded += s.clones_forwarded;
-    total.dead_ends += s.dead_ends;
-    total.missing_documents += s.missing_documents;
-    total.passive_terminations += s.passive_terminations;
-    total.active_terminations += s.active_terminations;
-    total.undeliverable_forwards += s.undeliverable_forwards;
-    total.decode_errors += s.decode_errors;
-    total.acks_sent += s.acks_sent;
-    total.acks_received += s.acks_received;
-    total.ack_send_failures += s.ack_send_failures;
-    total.report_send_errors += s.report_send_errors;
-    total.forward_send_errors += s.forward_send_errors;
-    total.retries += s.retries;
-    total.retry_exhausted += s.retry_exhausted;
-    total.redeliveries_suppressed += s.redeliveries_suppressed;
-    total.clones_shed += s.clones_shed;
-    total.clones_evicted += s.clones_evicted;
-    total.overload_nacks_sent += s.overload_nacks_sent;
-    total.overload_nacks_received += s.overload_nacks_received;
-    total.queue_peak = std::max(total.queue_peak, s.queue_peak);
-    total.budget_expired_clones += s.budget_expired_clones;
-    total.budget_vetoed_forwards += s.budget_vetoed_forwards;
-    total.rows_truncated += s.rows_truncated;
-    total.breaker_trips += s.breaker_trips;
-    total.breaker_short_circuits += s.breaker_short_circuits;
-    total.breaker_probes += s.breaker_probes;
-    total.breaker_recoveries += s.breaker_recoveries;
-    total.snapshots_written += s.snapshots_written;
-    total.wal_records_appended += s.wal_records_appended;
-    total.wal_append_errors += s.wal_append_errors;
-    total.recovered_from_snapshot += s.recovered_from_snapshot;
-    total.replayed_wal_records += s.replayed_wal_records;
-    total.cold_starts += s.cold_starts;
-    total.wal_records_discarded += s.wal_records_discarded;
-    total.snapshot_load_rejected += s.snapshot_load_rejected;
-    total.recovered_clones += s.recovered_clones;
-    total.result_cache_hits += s.result_cache_hits;
-    total.result_cache_misses += s.result_cache_misses;
-    total.result_cache_evictions += s.result_cache_evictions;
-    total.result_cache_bytes += s.result_cache_bytes;
-    total.clone_batches_sent += s.clone_batches_sent;
-    total.clone_batch_members_sent += s.clone_batch_members_sent;
-    total.clone_batches_received += s.clone_batches_received;
-    total.clone_batch_members_received += s.clone_batch_members_received;
-    total.report_batches_sent += s.report_batches_sent;
-    total.report_batch_members_sent += s.report_batch_members_sent;
-    total.batches_shed += s.batches_shed;
-    total.site_retired_nacks_sent += s.site_retired_nacks_sent;
-    total.site_retired_nacks_received += s.site_retired_nacks_received;
-    total.retired_reports_sent += s.retired_reports_sent;
-    total.epoch_gated_nodes += s.epoch_gated_nodes;
+    server::MergeServerStats(qs->stats(), &total);
   }
   return total;
 }

@@ -83,7 +83,7 @@ struct RunOutcome {
   SimTime completion_time = 0;     // when the user site *knew* it was done
   SimTime last_report_time = 0;    // when the last result actually arrived
   client::QueryRunStats client_stats;
-  server::QueryServerStats server_stats;  // summed over all servers
+  server::QueryServerStats server_stats;  // MergeServerStats of all servers
   size_t cht_total_entries = 0;
   size_t cht_max_active = 0;
   uint64_t cht_suppressed = 0;

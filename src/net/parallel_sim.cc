@@ -78,6 +78,8 @@ namespace webdis::net {
 
 namespace {
 constexpr SimTime kNeverLands = std::numeric_limits<SimTime>::max();
+// Cap on slices merged into one batch (bounds buffered-op memory).
+constexpr size_t kMaxCoalesceSlices = 64;
 }  // namespace
 
 struct SimNetwork::SliceContext {
@@ -496,7 +498,7 @@ void SimNetwork::StepBatch() {
   BatchState batch;
   RunBatchSlice(&batch, std::move(slice), t);
   while (options_.coalesce_slices &&
-         batch.num_slices < options_.max_coalesce_slices &&
+         batch.num_slices < kMaxCoalesceSlices &&
          CanExtendBatch(batch)) {
     slice = PopSlice(&t);
     ++parallel_stats_.slices;

@@ -79,8 +79,6 @@ struct SimNetworkOptions {
   /// replay/commit to the batch boundary. Off = commit after every slice
   /// (the pre-coalescing behaviour, kept as the equivalence reference).
   bool coalesce_slices = true;
-  /// Cap on slices merged into one batch (bounds buffered-op memory).
-  size_t max_coalesce_slices = 64;
 };
 
 /// Counters describing how much concurrency the time-stepped stepper

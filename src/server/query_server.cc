@@ -13,6 +13,20 @@
 
 namespace webdis::server {
 
+namespace {
+
+// The merge rules named in query_server_counters.def.
+uint64_t Sum(uint64_t total, uint64_t value) { return total + value; }
+uint64_t Max(uint64_t total, uint64_t value) { return std::max(total, value); }
+
+}  // namespace
+
+void MergeServerStats(const QueryServerStats& from, QueryServerStats* into) {
+#define WEBDIS_SERVER_COUNTER(name, merge) \
+  into->name = merge(into->name, from.name);
+#include "server/query_server_counters.def"
+}
+
 QueryServer::QueryServer(std::string host, const web::WebGraph* web,
                          net::Transport* transport,
                          QueryServerOptions options)

@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -108,87 +109,25 @@ struct QueryServerOptions {
   PersistOptions persist;
 };
 
-/// Counters exposed for tests and benchmarks.
+/// Counters exposed for tests and benchmarks: one field per line of
+/// server/query_server_counters.def, in that order.
 struct QueryServerStats {
-  uint64_t clones_received = 0;
-  uint64_t nodes_processed = 0;
-  uint64_t node_queries_evaluated = 0;
-  uint64_t answers_found = 0;
-  /// Node databases started: one per visit that evaluates a node-query and
-  /// misses the result cache (a new retained entry under cache_databases).
-  /// Later stages of the visit extend the same database.
-  uint64_t db_constructions = 0;
-  /// Visits that found their document's retained database (extended in
-  /// place when a stage reads a relation it lacks).
-  uint64_t db_cache_hits = 0;
-  uint64_t db_cache_evictions = 0;  // LRU entries dropped for the byte budget
-  uint64_t db_cache_bytes = 0;      // current cache footprint (approximate)
-  uint64_t duplicates_dropped = 0;
-  uint64_t superset_rewrites = 0;
-  uint64_t clones_forwarded = 0;
-  uint64_t dead_ends = 0;          // node-query evaluated and failed
-  uint64_t missing_documents = 0;  // clone destination not hosted here
-  uint64_t passive_terminations = 0;  // report refused -> query purged
-  uint64_t active_terminations = 0;   // kTerminate received
-  uint64_t undeliverable_forwards = 0;
-  uint64_t decode_errors = 0;
-  uint64_t acks_sent = 0;      // ack-tree termination baseline only
-  uint64_t acks_received = 0;  // ack-tree termination baseline only
-  uint64_t ack_send_failures = 0;  // acks lost at send time (tree may stall)
-  // Transient (non-refused) transport errors. Distinct from
-  // passive_terminations: only synchronous ConnectionRefused is the §2.8
-  // protocol signal; an IoError mid-write must NOT purge the query — the
-  // retry layer (when on) retransmits, else the CHT deadline sweep recovers.
-  uint64_t report_send_errors = 0;
-  uint64_t forward_send_errors = 0;
-  // At-least-once delivery layer (PROTOCOL.md "Failure handling"):
-  uint64_t retries = 0;            // retransmissions put on the wire
-  uint64_t retry_exhausted = 0;    // transfers abandoned after max attempts
-  uint64_t redeliveries_suppressed = 0;  // duplicate transfers absorbed
-  // Overload protection (PROTOCOL.md §7):
-  uint64_t clones_shed = 0;        // newcomers rejected at the full queue
-  uint64_t clones_evicted = 0;     // queued clones evicted (earliest deadline)
-  uint64_t overload_nacks_sent = 0;      // kOverloaded NACKs put on the wire
-  uint64_t overload_nacks_received = 0;  // own forwards shed by a peer
-  uint64_t queue_peak = 0;         // admission-queue high-water mark
-  uint64_t budget_expired_clones = 0;   // dead on arrival (deadline passed)
-  uint64_t budget_vetoed_forwards = 0;  // dispatches blocked by hop/clone caps
-  uint64_t rows_truncated = 0;     // result rows cut by the per-visit cap
-  uint64_t breaker_trips = 0;           // closed/half-open -> open
-  uint64_t breaker_short_circuits = 0;  // forwards vetoed while open
-  uint64_t breaker_probes = 0;          // half-open probe sends admitted
-  uint64_t breaker_recoveries = 0;      // half-open -> closed
-  // Durability (PROTOCOL.md §8). Like every other counter these survive
-  // Crash()/Restart(): they are measurement, not recoverable state — and
-  // the recovery triple below is precisely what distinguishes the three
-  // Restart() outcomes (snapshot load / WAL replay / nothing durable).
-  uint64_t snapshots_written = 0;
-  uint64_t wal_records_appended = 0;
-  uint64_t wal_append_errors = 0;       // storage refused an append/sync
-  uint64_t recovered_from_snapshot = 0;  // Restart() loaded a valid snapshot
-  uint64_t replayed_wal_records = 0;     // WAL records applied at recovery
-  uint64_t cold_starts = 0;  // Restart() found no usable durable state
-  uint64_t wal_records_discarded = 0;   // torn/corrupt WAL tail dropped
-  uint64_t snapshot_load_rejected = 0;  // bad magic/version/checksum
-  uint64_t recovered_clones = 0;  // pending clones re-enqueued at recovery
-  // Cross-query sharing (PROTOCOL.md §9):
-  uint64_t result_cache_hits = 0;
-  uint64_t result_cache_misses = 0;
-  uint64_t result_cache_evictions = 0;  // LRU entries dropped for the budget
-  uint64_t result_cache_bytes = 0;      // current footprint (approximate)
-  uint64_t clone_batches_sent = 0;      // kCloneBatch envelopes dispatched
-  uint64_t clone_batch_members_sent = 0;
-  uint64_t clone_batches_received = 0;
-  uint64_t clone_batch_members_received = 0;
-  uint64_t report_batches_sent = 0;     // kReportBatch envelopes dispatched
-  uint64_t report_batch_members_sent = 0;
-  uint64_t batches_shed = 0;  // whole batch units NACKed/shed at admission
-  // Dynamic web & churn (PROTOCOL.md §10):
-  uint64_t site_retired_nacks_sent = 0;  // terminal NACKs sent while retired
-  uint64_t site_retired_nacks_received = 0;  // own forwards hit a retired site
-  uint64_t retired_reports_sent = 0;  // node reports carrying site-retired
-  uint64_t epoch_gated_nodes = 0;     // destinations hidden by the epoch pin
+#define WEBDIS_SERVER_COUNTER(name, merge) uint64_t name = 0;
+#include "server/query_server_counters.def"
 };
+
+/// Adds `from` into `*into` counter by counter, each by its merge rule in
+/// query_server_counters.def: a sum, or the larger value for queue_peak.
+void MergeServerStats(const QueryServerStats& from, QueryServerStats* into);
+
+/// Calls fn(name, value) for every counter of `stats` in declaration
+/// order; `value` refers to the field (writable when `stats` is).
+template <typename Stats, typename Fn>
+  requires std::is_same_v<std::remove_const_t<Stats>, QueryServerStats>
+void ForEachCounter(Stats& stats, Fn&& fn) {
+#define WEBDIS_SERVER_COUNTER(name, merge) fn(#name, stats.name);
+#include "server/query_server_counters.def"
+}
 
 /// One per-node visit, emitted to the observer hook (used by the figure
 /// reproductions to trace PureRouter/ServerRouter roles and states).

@@ -101,6 +101,20 @@ TEST(ChtRobustModeTest, StateCanonicalizationInBalanceKeys) {
   EXPECT_TRUE(cht.AllDeleted());
 }
 
+TEST(ClientTest, QueryRunStatsToTextListsEveryNonZeroCounter) {
+  QueryRunStats stats;
+  EXPECT_EQ(stats.ToText(), "");
+  uint64_t next = 0;
+  std::string expected;
+  ForEachCounter(stats, [&](const char* name, uint64_t& value) {
+    value = ++next;
+    expected += std::string(name) + ": " + std::to_string(value) + "\n";
+  });
+  // Every field is a listed counter, so none is left out of the text.
+  EXPECT_EQ(sizeof(QueryRunStats), next * sizeof(uint64_t));
+  EXPECT_EQ(stats.ToText(), expected);
+}
+
 // -- UserSite ---------------------------------------------------------------------
 
 class UserSiteTest : public ::testing::Test {

@@ -905,6 +905,43 @@ TEST_F(QueryServerTest, LiveSnapshotHoldsEveryDurableSection) {
   EXPECT_EQ(server_->stats().recovered_clones, 2u);
 }
 
+/// Every counter of `stats` as (name, value), in declaration order.
+std::vector<std::pair<std::string, uint64_t>> Counters(
+    const QueryServerStats& stats) {
+  std::vector<std::pair<std::string, uint64_t>> out;
+  ForEachCounter(stats, [&out](const char* name, uint64_t value) {
+    out.emplace_back(name, value);
+  });
+  return out;
+}
+
+TEST(QueryServerStatsTest, MergeSumsEveryCounterButQueuePeak) {
+  QueryServerStats a;
+  QueryServerStats b;
+  uint64_t next = 0;
+  ForEachCounter(a, [&next](const char*, uint64_t& value) { value = ++next; });
+  ForEachCounter(b, [&next](const char*, uint64_t& value) {
+    value = 100 * ++next;
+  });
+  // Every field is a listed counter, so none escapes the merge.
+  EXPECT_EQ(sizeof(QueryServerStats), Counters(a).size() * sizeof(uint64_t));
+  // Both directions, so the larger queue_peak sits once on each side.
+  for (const auto& [from, into] : {std::pair(a, b), std::pair(b, a)}) {
+    QueryServerStats merged = into;
+    MergeServerStats(from, &merged);
+    const auto f = Counters(from);
+    const auto t = Counters(into);
+    const auto m = Counters(merged);
+    ASSERT_EQ(m.size(), f.size());
+    for (size_t i = 0; i < m.size(); ++i) {
+      const uint64_t want = m[i].first == "queue_peak"
+                                ? std::max(f[i].second, t[i].second)
+                                : f[i].second + t[i].second;
+      EXPECT_EQ(m[i].second, want) << m[i].first;
+    }
+  }
+}
+
 TEST(RecoveryStatsFormatTest, FormatRunStatsEmitsRecoveryCounters) {
   core::RunOutcome outcome;
   outcome.server_stats.recovered_from_snapshot = 1;
@@ -916,6 +953,30 @@ TEST(RecoveryStatsFormatTest, FormatRunStatsEmitsRecoveryCounters) {
   EXPECT_NE(text.find("replayed_wal_records: 2"), std::string::npos);
   EXPECT_NE(text.find("cold_starts: 3"), std::string::npos);
   EXPECT_NE(text.find("snapshots_written: 4"), std::string::npos);
+
+  // With every counter zero the servers: block holds no counter line.
+  outcome.server_stats = QueryServerStats();
+  const std::string zero = core::FormatRunStats(outcome);
+  EXPECT_EQ(zero.substr(zero.find("servers:\n")), "servers:\n");
+
+  // Counter i set to i+1 prints exactly one "  name: i+1" line, and the
+  // servers: block lists every counter in declaration order.
+  uint64_t next = 0;
+  std::vector<std::string> expected;
+  ForEachCounter(outcome.server_stats,
+                 [&](const char* name, uint64_t& value) {
+                   value = ++next;
+                   expected.push_back(StringPrintf(
+                       "  %s: %llu", name,
+                       static_cast<unsigned long long>(value)));
+                 });
+  const std::string all = core::FormatRunStats(outcome);
+  const std::vector<std::string> lines = Split(all, '\n');
+  for (const std::string& line : expected) {
+    EXPECT_EQ(std::count(lines.begin(), lines.end(), line), 1) << line;
+  }
+  EXPECT_EQ(all.substr(all.find("servers:\n")),
+            "servers:\n" + Join(expected, "\n") + "\n");
 }
 
 }  // namespace
