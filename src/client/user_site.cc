@@ -35,6 +35,19 @@ Result<query::QueryId> UserSite::Submit(const disql::CompiledQuery& compiled,
   if (compiled.start_urls.empty()) {
     return Status::InvalidArgument("compiled query has no StartNodes");
   }
+  // Group StartNodes by site — the initial dispatch enjoys the same
+  // one-clone-per-site batching as forwarding (§3.2(4)). Parsed before
+  // the result socket opens, so a bad StartNode leaves no run or socket.
+  std::map<std::string, std::vector<std::string>> by_host;
+  for (const std::string& url : compiled.start_urls) {
+    auto parsed = html::ParseUrl(url);
+    if (!parsed.ok()) {
+      return Status::InvalidArgument(
+          StringPrintf("bad StartNode URL '%s'", url.c_str()));
+    }
+    by_host[parsed->host].push_back(parsed->ResourceKey());
+  }
+
   query::QueryId id;
   id.user = user;
   id.reply_host = host_;
@@ -58,18 +71,6 @@ Result<query::QueryId> UserSite::Submit(const disql::CompiledQuery& compiled,
         OnMessage(raw, from, type, payload);
       }));
   runs_.emplace(id.Key(), std::move(run));
-
-  // Group StartNodes by site — the initial dispatch enjoys the same
-  // one-clone-per-site batching as forwarding (§3.2(4)).
-  std::map<std::string, std::vector<std::string>> by_host;
-  for (const std::string& url : compiled.start_urls) {
-    auto parsed = html::ParseUrl(url);
-    if (!parsed.ok()) {
-      return Status::InvalidArgument(
-          StringPrintf("bad StartNode URL '%s'", url.c_str()));
-    }
-    by_host[parsed->host].push_back(parsed->ResourceKey());
-  }
 
   // Per-query resource budget (PROTOCOL.md §7.1): deadlines become absolute
   // here, and the clone allowance is split across the initial per-site
@@ -212,6 +213,15 @@ void UserSite::SweepDeadlines(QueryRun* run) {
 const UserSite::QueryRun* UserSite::Find(const query::QueryId& id) const {
   auto it = runs_.find(id.Key());
   return it == runs_.end() ? nullptr : it->second.get();
+}
+
+void UserSite::Forget(const query::QueryId& id) {
+  auto it = runs_.find(id.Key());
+  if (it == runs_.end()) return;
+  QueryRun* run = it->second.get();
+  CancelSweep(run);
+  if (!run->socket_closed) CloseResultSocket(run);
+  runs_.erase(it);
 }
 
 bool UserSite::IsComplete(const query::QueryId& id) const {
@@ -359,8 +369,16 @@ void UserSite::OnMessage(QueryRun* run, const net::Endpoint& from,
     for (const query::QueryReport& report : batch.reports) {
       auto it = runs_.find(report.id.Key());
       if (it == runs_.end()) {
-        WEBDIS_LOG(kWarning) << "batched report for unknown query "
-                             << report.id.Key();
+        if (report.id.reply_host == host_ &&
+            report.id.query_number < next_query_number_) {
+          // A query number this site handed out: the run was forgotten,
+          // and Forget closed its socket first. The drop is that socket's
+          // refusal, as for a closed member below.
+          ++run->stats.batch_members_dropped_forgotten;
+        } else {
+          WEBDIS_LOG(kWarning) << "batched report for unknown query "
+                               << report.id.Key();
+        }
         continue;
       }
       QueryRun* member_run = it->second.get();
@@ -492,7 +510,6 @@ void UserSite::HandleReport(QueryRun* run,
 
 void UserSite::MergeResults(QueryRun* run, const relational::ResultSet& rs) {
   const std::string signature = Join(rs.column_labels, "\x1f");
-  std::set<std::string>& seen = seen_rows_[run->id.Key()];
   relational::ResultSet* target = nullptr;
   for (relational::ResultSet& existing : run->results) {
     if (existing.column_labels == rs.column_labels) {
@@ -513,7 +530,7 @@ void UserSite::MergeResults(QueryRun* run, const relational::ResultSet& rs) {
       key += '\x1e';
       key += v.ToString();
     }
-    if (!seen.insert(std::move(key)).second) {
+    if (!run->seen_rows.insert(std::move(key)).second) {
       // Duplicate rows reach the user when recomputation suppression is
       // disabled ("the same set of results will be received multiple times
       // and these will have to be filtered", Section 3.1).

@@ -176,18 +176,35 @@ class UserSite {
     std::vector<query::ChtEntry> fallback_nodes;
     /// Ack-tree mode: tokens of StartNode clones not yet acked.
     std::set<uint64_t> outstanding_root_acks;
+    /// Row filter: label signature + row rendering of every row merged so
+    /// far. Freed with the run.
+    std::set<std::string> seen_rows;
 
     QueryRun(bool cht_dedup, bool robust) : cht(cht_dedup, robust) {}
   };
 
   /// Submits a compiled query on behalf of `user`: opens the result socket,
   /// enters the StartNodes into the CHT, and dispatches the initial clones
-  /// (batched per StartNode site). Returns the query id.
+  /// (batched per StartNode site). Returns the query id. A StartNode URL
+  /// that does not parse fails the call before any run or socket exists.
   Result<query::QueryId> Submit(const disql::CompiledQuery& compiled,
                                 const std::string& user);
 
-  /// Lookup; nullptr if unknown.
+  /// Lookup; nullptr if unknown or forgotten.
   const QueryRun* Find(const query::QueryId& id) const;
+
+  /// Frees a run: its CHT, results, row filter and stats. A run whose
+  /// result socket is still open is first terminated passively (§2.8): its
+  /// deadline sweep is cancelled and its socket closed, so later reports
+  /// to it are refused and the servers purge the query. Batched report
+  /// members for a forgotten run are dropped at demux time. Unknown ids
+  /// are ignored; pointers from Find(id) dangle afterwards. Call it between
+  /// event-loop runs, as Engine::CollectOutcome does: the run's handlers
+  /// hold a pointer to it.
+  void Forget(const query::QueryId& id);
+
+  /// Runs held: submitted and not yet forgotten.
+  size_t run_count() const { return runs_.size(); }
 
   bool IsComplete(const query::QueryId& id) const;
 
@@ -251,8 +268,6 @@ class UserSite {
   uint16_t next_port_;
   uint32_t next_query_number_ = 1;
   std::map<std::string, std::unique_ptr<QueryRun>> runs_;  // by QueryId::Key
-  /// Per-run row filter: label signature + row rendering already seen.
-  std::map<std::string, std::set<std::string>> seen_rows_;
   ReportObserver report_observer_;
 };
 

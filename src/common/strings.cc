@@ -1,8 +1,10 @@
 #include "common/strings.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdarg>
 #include <cstdio>
-#include <cctype>
+#include <cstring>
 
 namespace webdis {
 
@@ -33,16 +35,33 @@ char FoldAscii(char c) {
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
   if (needle.empty()) return true;
   if (needle.size() > haystack.size()) return false;
+  // Candidate starts are the occurrences of either case of the needle's
+  // first byte, found with memchr; each cursor only moves forward.
   const char first = FoldAscii(needle[0]);
-  const size_t last_start = haystack.size() - needle.size();
-  for (size_t start = 0; start <= last_start; ++start) {
-    if (FoldAscii(haystack[start]) != first) continue;
+  const char first_upper =
+      first >= 'a' && first <= 'z' ? static_cast<char>(first - 'a' + 'A')
+                                   : first;
+  const char* const end =
+      haystack.data() + (haystack.size() - needle.size() + 1);
+  const auto next = [end](const char* from, char c) {
+    const void* hit = std::memchr(from, c, static_cast<size_t>(end - from));
+    return hit == nullptr ? end : static_cast<const char*>(hit);
+  };
+  const char* lower = next(haystack.data(), first);
+  const char* upper =
+      first_upper == first ? end : next(haystack.data(), first_upper);
+  while (lower != end || upper != end) {
+    const char* const start = std::min(lower, upper);
     size_t i = 1;
-    while (i < needle.size() &&
-           FoldAscii(haystack[start + i]) == FoldAscii(needle[i])) {
+    while (i < needle.size() && FoldAscii(start[i]) == FoldAscii(needle[i])) {
       ++i;
     }
     if (i == needle.size()) return true;
+    if (start == lower) {
+      lower = next(start + 1, first);
+    } else {
+      upper = next(start + 1, first_upper);
+    }
   }
   return false;
 }

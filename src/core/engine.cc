@@ -391,6 +391,14 @@ RunOutcome Engine::CollectOutcome(const query::QueryId& id,
   outcome.traffic = Subtract(TrafficSnapshot(), baseline_traffic);
   outcome.workers = options_.network.worker_threads;
   outcome.parallel = network_->parallel_stats();
+  if (collected_keys_.insert(id.Key()).second) {
+    collected_.push_back(id);
+    if (collected_.size() > kCollectWindow) {
+      collected_keys_.erase(collected_.front().Key());
+      user_site_->Forget(collected_.front());
+      collected_.pop_front();
+    }
+  }
   return outcome;
 }
 

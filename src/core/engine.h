@@ -1,8 +1,10 @@
 #ifndef WEBDIS_CORE_ENGINE_H_
 #define WEBDIS_CORE_ENGINE_H_
 
+#include <deque>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -200,8 +202,14 @@ class Engine {
                                 const std::string& user = "user");
 
   /// Collects the outcome for a query after the caller drove the network.
+  /// The engine keeps the kCollectWindow most recently collected runs and
+  /// forgets older ones (UserSite::Forget), so an id stays valid here until
+  /// kCollectWindow other ids have been collected after it; collecting a
+  /// forgotten id is a CHECK failure. Collecting a retained id again
+  /// neither evicts nor reorders anything. Call between event-loop runs.
   RunOutcome CollectOutcome(const query::QueryId& id,
                             const TrafficSummary& baseline_traffic);
+  static constexpr size_t kCollectWindow = 256;
 
   /// Snapshot of cumulative traffic (subtract snapshots for deltas).
   TrafficSummary TrafficSnapshot() const;
@@ -228,6 +236,9 @@ class Engine {
       persist_backends_;
   std::vector<std::string> participating_hosts_;
   std::unique_ptr<client::UserSite> user_site_;
+  /// The retained collected runs, oldest first, and their QueryId keys.
+  std::deque<query::QueryId> collected_;
+  std::set<std::string> collected_keys_;
   /// §10 churn state (set by InstallMutationPlan; null on frozen webs).
   web::WebGraph* mutable_web_ = nullptr;
   web::MutationPlan* mutation_plan_ = nullptr;

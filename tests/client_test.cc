@@ -218,6 +218,96 @@ TEST_F(UserSiteTest, SubmitRejectsEmptyStartNodes) {
   EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(UserSiteTest, FailedSubmitLeavesNoRunOrSocket) {
+  // The StartNode has no host, so it does not parse. Nothing collects a run
+  // whose Submit failed, so the site must not have opened its socket or
+  // kept its run.
+  core::Engine engine = MakeEngine();
+  auto outcome =
+      engine.Run("select d.url from document d such that \"http:///x\" L d");
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+  const net::Endpoint first_socket{core::Engine::kClientHost,
+                                   UserSiteOptions().first_result_port};
+  EXPECT_EQ(engine.user_site().Find(query::QueryId{
+                "user", first_socket.host, first_socket.port, 1}),
+            nullptr);
+  EXPECT_EQ(engine.user_site().run_count(), 0u);
+  EXPECT_EQ(engine.network()
+                .Send(net::Endpoint{"probe", 1}, first_socket,
+                      net::MessageType::kReport, {})
+                .code(),
+            StatusCode::kConnectionRefused);
+  // The failure consumed nothing: the next query gets the first socket.
+  auto next = engine.Run(scenario_.disql);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_TRUE(next->completed);
+  EXPECT_EQ(next->id.reply_port, first_socket.port);
+}
+
+TEST_F(UserSiteTest, ForgetFreesRunsAndClosesLiveSockets) {
+  core::EngineOptions options;
+  options.client.close_socket_on_completion = false;
+  core::Engine engine = MakeEngine(options);
+  UserSite& user = engine.user_site();
+  auto compiled = disql::CompileDisql(scenario_.disql);
+  ASSERT_TRUE(compiled.ok());
+  auto kept = engine.Submit(compiled.value());
+  auto gone = engine.Submit(compiled.value());
+  ASSERT_TRUE(kept.ok());
+  ASSERT_TRUE(gone.ok());
+  engine.network().RunUntilIdle();
+  ASSERT_TRUE(user.IsComplete(gone.value()));
+  EXPECT_EQ(user.run_count(), 2u);
+
+  // A complete run whose socket stayed open: Forget closes it.
+  user.Forget(gone.value());
+  EXPECT_EQ(user.Find(gone.value()), nullptr);
+  EXPECT_FALSE(user.IsComplete(gone.value()));
+  EXPECT_EQ(user.run_count(), 1u);
+  const net::Endpoint probe{"probe", 1};
+  EXPECT_EQ(engine.network()
+                .Send(probe,
+                      net::Endpoint{core::Engine::kClientHost,
+                                    gone->reply_port},
+                      net::MessageType::kReport, {})
+                .code(),
+            StatusCode::kConnectionRefused);
+
+  // A batch riding the kept run's socket: the member for the forgotten run
+  // (the newest this site issued) is dropped and counted on the carrier;
+  // members for a query number never issued, or another site's query, are
+  // not.
+  query::QueryId stranger = gone.value();
+  ++stranger.query_number;
+  query::QueryId elsewhere = gone.value();
+  elsewhere.reply_host = "other.site";
+  query::ReportBatch batch;
+  batch.reports.resize(3);
+  batch.reports[0].id = gone.value();
+  batch.reports[1].id = stranger;
+  batch.reports[2].id = elsewhere;
+  serialize::Encoder enc;
+  batch.EncodeTo(&enc);
+  ASSERT_TRUE(engine.network()
+                  .Send(probe,
+                        net::Endpoint{core::Engine::kClientHost,
+                                      kept->reply_port},
+                        net::MessageType::kReportBatch, enc.Release())
+                  .ok());
+  engine.network().RunUntilIdle();
+  const UserSite::QueryRun* carrier = user.Find(kept.value());
+  ASSERT_NE(carrier, nullptr);
+  EXPECT_EQ(carrier->stats.report_batch_members_received, 3u);
+  EXPECT_EQ(carrier->stats.batch_members_dropped_forgotten, 1u);
+
+  // Forgetting again, or an id this site never issued, is a no-op.
+  user.Forget(gone.value());
+  user.Forget(stranger);
+  EXPECT_EQ(user.run_count(), 1u);
+  EXPECT_EQ(user.Find(kept.value()), carrier);
+}
+
 TEST_F(UserSiteTest, ReportForUnknownQueryIgnored) {
   core::Engine engine = MakeEngine();
   auto compiled = disql::CompileDisql(scenario_.disql);

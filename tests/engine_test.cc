@@ -4,6 +4,7 @@
 
 #include "core/trace.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -404,6 +405,108 @@ TEST(EngineUniversityTest, FloatingLinksAreMissingDocumentsNotFailures) {
   EXPECT_TRUE(outcome->completed);
   EXPECT_GE(outcome->server_stats.missing_documents,
             uni.floating_links.size());
+}
+
+// ---------------------------------------------------------------------------
+// A long-lived deployment keeps a bounded user site: CollectOutcome retains
+// the kCollectWindow most recently collected runs and forgets older ones.
+// ---------------------------------------------------------------------------
+
+TEST(EngineSoakTest, CollectedRunsAreForgottenBeyondTheWindow) {
+  web::SynthWebOptions web_options;
+  web_options.seed = 11;
+  web_options.num_sites = 4;
+  web_options.docs_per_site = 4;
+  const web::WebGraph web = web::GenerateSynthWeb(web_options);
+
+  // The server options of perfbench's shared_durable workload: a result
+  // cache, batched envelopes and a WAL.
+  EngineOptions options;
+  options.network.latency_jitter = 5 * kMillisecond;
+  options.network.jitter_seed = 7;
+  server::QueryServerOptions& durable = options.server;
+  durable.share_results = true;
+  durable.result_cache_max_bytes = 1 << 20;
+  durable.batch_window = 5 * kMillisecond;
+  durable.batch_max_members = 16;
+  durable.log_purge_every = 512;
+  durable.persist.enabled = true;
+  durable.persist.wal_enabled = true;
+  durable.persist.fsync = server::WalFsyncPolicy::kEveryAppend;
+  Engine engine(&web, options);
+
+  // One round: two StartNodes per site, four predicates each.
+  std::vector<disql::CompiledQuery> round;
+  for (int site = 0; site < 4; ++site) {
+    for (const int doc : {0, 2}) {
+      for (const char* where :
+           {"d.title contains \"document\"", "d.title contains \"alpha\"",
+            "d.text contains \"beta\"", "d.length > 400"}) {
+        auto compiled = disql::CompileDisql(
+            "select d.url from document d such that \"" +
+            web::SynthUrl(site, doc) + "\" (L|G)*2 d where " + where);
+        ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+        round.push_back(std::move(compiled).value());
+      }
+    }
+  }
+  ASSERT_EQ(round.size(), 32u);
+
+  constexpr int kRounds = 32;  // 1,024 queries
+  const client::UserSite& user = engine.user_site();
+  std::vector<std::set<std::string>> first_answers;
+  std::vector<query::QueryId> collected;  // oldest first
+  for (int r = 0; r < kRounds; ++r) {
+    SCOPED_TRACE("round " + std::to_string(r));
+    const TrafficSummary before = engine.TrafficSnapshot();
+    std::vector<query::QueryId> ids;
+    for (size_t q = 0; q < round.size(); ++q) {
+      auto id = engine.Submit(round[q], "u" + std::to_string(q));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ids.push_back(id.value());
+    }
+    engine.network().RunUntilIdle();
+    const size_t retained = std::min(collected.size(), Engine::kCollectWindow);
+    ASSERT_EQ(user.run_count(), retained + round.size());
+    for (size_t q = 0; q < ids.size(); ++q) {
+      const RunOutcome outcome = engine.CollectOutcome(ids[q], before);
+      ASSERT_TRUE(outcome.completed);
+      std::set<std::string> answer;
+      for (const relational::ResultSet& rs : outcome.results) {
+        for (const relational::Tuple& row : rs.rows) {
+          answer.insert(row[0].ToString());
+        }
+      }
+      if (r == 0) {
+        EXPECT_FALSE(answer.empty()) << "query " << q;
+        first_answers.push_back(std::move(answer));
+      } else {
+        EXPECT_EQ(answer, first_answers[q]) << "query " << q;
+      }
+      collected.push_back(ids[q]);
+    }
+  }
+  ASSERT_EQ(user.run_count(), Engine::kCollectWindow);
+
+  // The newest kCollectWindow collected runs are retained; the next older
+  // one is gone.
+  const size_t oldest_retained = collected.size() - Engine::kCollectWindow;
+  EXPECT_EQ(user.Find(collected[oldest_retained - 1]), nullptr);
+  for (size_t i = oldest_retained; i < collected.size(); ++i) {
+    EXPECT_NE(user.Find(collected[i]), nullptr) << i;
+  }
+  // Collecting a retained run again neither evicts nor reorders: the oldest
+  // retained run stays, and is still the one the next fresh collection
+  // evicts.
+  engine.CollectOutcome(collected[oldest_retained], engine.TrafficSnapshot());
+  ASSERT_EQ(user.run_count(), Engine::kCollectWindow);
+  ASSERT_NE(user.Find(collected[oldest_retained]), nullptr);
+  auto extra = engine.RunCompiled(round[0]);
+  ASSERT_TRUE(extra.ok()) << extra.status().ToString();
+  EXPECT_EQ(user.run_count(), Engine::kCollectWindow);
+  EXPECT_EQ(user.Find(collected[oldest_retained]), nullptr);
+  EXPECT_NE(user.Find(collected[oldest_retained + 1]), nullptr);
+  EXPECT_NE(user.Find(extra->id), nullptr);
 }
 
 }  // namespace

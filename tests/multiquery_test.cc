@@ -30,6 +30,7 @@
 
 #include "baseline/data_shipping.h"
 #include "common/clock.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/engine.h"
@@ -618,6 +619,110 @@ TEST(BatchAdmissionCrashPointTest, NoSilentPartialAcceptAcrossCrashGrid) {
   EXPECT_GT(batches_received, 0u);
   EXPECT_GT(recovered, 0u);
   EXPECT_GT(batches_shed, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Forgetting a live run is passive termination (§2.8). UserSite::Forget
+// closes the run's result socket before freeing it, so the servers' later
+// reports to it are refused and they purge the query, and a batched member
+// riding a live peer's socket is dropped at demux like a closed socket's
+// member. The peers' answers are untouched.
+// ---------------------------------------------------------------------------
+
+/// Restores stderr logging when it goes out of scope.
+struct CapturedWarnings {
+  CapturedWarnings() {
+    SetLogSink([this](LogLevel level, const std::string& line) {
+      if (level >= LogLevel::kWarning) lines.push_back(line);
+    });
+  }
+  ~CapturedWarnings() { SetLogSink(nullptr); }
+  std::vector<std::string> lines;
+};
+
+TEST(ForgetLiveRunTest, ForgottenRunTerminatesPassivelyAndPeersAreExact) {
+  web::SynthWebOptions web_options;
+  web_options.seed = 5;
+  web_options.num_sites = 5;
+  web_options.docs_per_site = 6;
+  web_options.filler_paragraphs = 1;
+  web_options.words_per_paragraph = 12;
+  const web::WebGraph web = web::GenerateSynthWeb(web_options);
+  constexpr int kQueries = 3;
+  constexpr int kDoomed = 1;  // a port between its peers'
+
+  for (const bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "batched reports" : "plain reports");
+    core::EngineOptions options;
+    options.network.latency_jitter = 2 * kMillisecond;
+    options.network.jitter_seed = 7;
+    // Far beyond the runs' length, so it never fires; it arms each live
+    // run's deadline sweep, which Forget must cancel.
+    options.client.entry_deadline = 10 * kSecond;
+    if (batch) {
+      options.server.batch_window = 1 * kMillisecond;
+      options.server.batch_max_members = 16;
+    }
+    std::vector<disql::CompiledQuery> queries;
+    std::vector<std::multiset<std::string>> solo;
+    for (int i = 0; i < kQueries; ++i) {
+      auto compiled = disql::CompileDisql(QueryFor(i));
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      core::Engine alone(&web, options);
+      auto outcome = alone.RunCompiled(compiled.value());
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      ASSERT_TRUE(outcome->completed);
+      solo.push_back(RowKeys(outcome->results));
+      queries.push_back(std::move(compiled).value());
+    }
+
+    CapturedWarnings warnings;
+    core::Engine engine(&web, options);
+    const core::TrafficSummary before = engine.TrafficSnapshot();
+    std::vector<query::QueryId> ids;
+    for (int i = 0; i < kQueries; ++i) {
+      auto id = engine.Submit(queries[i], "user" + std::to_string(i));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ids.push_back(id.value());
+    }
+    const query::QueryId doomed = ids[kDoomed];
+    // Mid-traversal: after the doomed run's first report, well before it
+    // completes.
+    client::UserSite& user = engine.user_site();
+    while (user.Find(doomed)->stats.reports_received == 0) {
+      ASSERT_TRUE(engine.network().RunOne());
+    }
+    ASSERT_FALSE(user.IsComplete(doomed));
+    ASSERT_NE(user.Find(doomed)->sweep_timer, 0u);
+    const uint64_t refused_before =
+        engine.TrafficSnapshot().connection_refused;
+    user.Forget(doomed);
+    EXPECT_EQ(user.Find(doomed), nullptr);
+    EXPECT_EQ(user.run_count(), static_cast<size_t>(kQueries - 1));
+
+    engine.network().RunUntilIdle();  // drains: no timer outlives the run
+    EXPECT_EQ(user.Find(doomed), nullptr);
+    EXPECT_GT(engine.TrafficSnapshot().connection_refused, refused_before);
+    EXPECT_GT(engine.AggregateServerStats().passive_terminations, 0u);
+
+    uint64_t dropped_forgotten = 0;
+    for (int i = 0; i < kQueries; ++i) {
+      if (i == kDoomed) continue;
+      SCOPED_TRACE("query " + std::to_string(i));
+      const core::RunOutcome outcome = engine.CollectOutcome(ids[i], before);
+      EXPECT_TRUE(outcome.completed);
+      EXPECT_EQ(RowKeys(outcome.results), solo[i]);
+      dropped_forgotten += outcome.client_stats.batch_members_dropped_forgotten;
+    }
+    if (batch) {
+      EXPECT_GT(dropped_forgotten, 0u);
+    } else {
+      EXPECT_EQ(dropped_forgotten, 0u);
+    }
+    for (const std::string& line : warnings.lines) {
+      EXPECT_EQ(line.find("unknown query"), std::string::npos) << line;
+    }
+  }
 }
 
 // -- Adversarial batch durability -------------------------------------------

@@ -168,10 +168,10 @@ CONFINEMENT_ALLOWLIST = {
     "UserSite": {
         # Identity / wiring, construction-time only.
         "host_", "transport_", "options_", "clock_",
-        # All mutated only from this site's result-socket / timer handlers,
-        # which share the user site's single host partition.
+        # Mutated from this site's result-socket / timer handlers, which
+        # share the user site's single host partition, and from Submit and
+        # Forget, which are called between event-loop runs.
         "sender_", "receiver_", "next_port_", "next_query_number_", "runs_",
-        "seen_rows_",
         # §10.4 oracle hook: assigned before the run starts, invoked only
         # from this site's result-socket handlers (single host partition).
         "report_observer_",
