@@ -61,11 +61,6 @@ Status SimNetwork::SendAccepted(const Endpoint& from, const Endpoint& to,
   const bool crosses_hosts = from.host != to.host;
   if (crosses_hosts) inter_host_.Add(wire_bytes);
 
-  if (drop_filter_ && drop_filter_(from, to, type)) {
-    ++dropped_;
-    return Status::OK();  // accepted, then lost in flight
-  }
-
   FaultDecision fault;
   if (fault_plan_ != nullptr) {
     fault = fault_plan_->Decide(from, to, type, now_);

@@ -163,16 +163,10 @@ class SimNetwork : public Transport {
 
   // -- Fault injection ------------------------------------------------------
 
-  /// Filter invoked per accepted message; return true to silently drop it
-  /// (models loss *after* the connection was accepted — the failure window
-  /// the paper's report-then-forward ordering defends against).
-  using DropFilter =
-      std::function<bool(const Endpoint& from, const Endpoint& to,
-                         MessageType type)>;
-  void SetDropFilter(DropFilter filter) { drop_filter_ = std::move(filter); }
-
   /// Attaches a composable fault schedule (see net/fault.h), consulted per
-  /// accepted message after the drop filter. The plan decides drop /
+  /// accepted message. A dropped message models loss *after* the
+  /// connection was accepted — the failure window the paper's
+  /// report-then-forward ordering defends against. The plan decides drop /
   /// duplication / extra delay and is passed the virtual clock, so its
   /// time-phased rules work. Not owned; pass nullptr to detach.
   void SetFaultPlan(FaultPlan* plan) { fault_plan_ = plan; }
@@ -298,7 +292,6 @@ class SimNetwork : public Transport {
   std::map<Endpoint, MessageHandler> listeners_;
   std::map<Endpoint, SimTime> busy_until_;  // per-listener serial queue
   std::map<std::string, SimDuration> host_extra_latency_;
-  DropFilter drop_filter_;
   FaultPlan* fault_plan_ = nullptr;
   TrafficStats total_;
   TrafficStats inter_host_;

@@ -21,21 +21,6 @@ Status CloneState::DecodeFrom(serialize::Decoder* dec, CloneState* out) {
   return Status::OK();
 }
 
-bool QueryBudget::Equals(const QueryBudget& other) const {
-  if (has_deadline != other.has_deadline || has_hop_limit != other.has_hop_limit ||
-      has_clone_limit != other.has_clone_limit || has_row_limit != other.has_row_limit) {
-    return false;
-  }
-  if (has_deadline && deadline != other.deadline) return false;
-  if (has_hop_limit && hops_left != other.hops_left) return false;
-  if (has_clone_limit && clones_left != other.clones_left) return false;
-  if (has_row_limit && max_rows_per_visit != other.max_rows_per_visit) {
-    return false;
-  }
-  if (pinned_epoch != other.pinned_epoch) return false;
-  return true;
-}
-
 namespace {
 constexpr uint8_t kBudgetDeadlineBit = 1 << 0;
 constexpr uint8_t kBudgetHopBit = 1 << 1;
@@ -202,8 +187,13 @@ size_t WebQuery::WireSize() const {
 }
 
 void CloneBatch::EncodeTo(serialize::Encoder* enc) const {
-  enc->PutVarint(clones.size());
-  for (const WebQuery& clone : clones) {
+  EncodeMembers(clones, enc);
+}
+
+void CloneBatch::EncodeMembers(std::span<const WebQuery> members,
+                               serialize::Encoder* enc) {
+  enc->PutVarint(members.size());
+  for (const WebQuery& clone : members) {
     clone.EncodeTo(enc);
   }
 }

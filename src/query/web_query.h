@@ -1,6 +1,7 @@
 #ifndef WEBDIS_QUERY_WEB_QUERY_H_
 #define WEBDIS_QUERY_WEB_QUERY_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,8 +52,6 @@ struct QueryBudget {
   bool Any() const {
     return has_deadline || has_hop_limit || has_clone_limit || has_row_limit;
   }
-
-  bool Equals(const QueryBudget& other) const;
 
   /// Wire: `u8 flags` (bit 0 deadline, 1 hop, 2 clone, 3 row, 4 epoch pin)
   /// followed by the present fields in that order. Flags 0 = no budget — the
@@ -150,6 +149,10 @@ struct CloneBatch {
   /// and is rejected at decode time.
   void EncodeTo(serialize::Encoder* enc) const;
   static Status DecodeFrom(serialize::Decoder* dec, CloneBatch* out);
+  /// The same wire image for members held elsewhere, without moving them
+  /// into a batch first.
+  static void EncodeMembers(std::span<const WebQuery> members,
+                            serialize::Encoder* enc);
 };
 
 }  // namespace webdis::query

@@ -151,130 +151,64 @@ void QueryServer::Stop() {
 
 void QueryServer::OnMessage(const net::Endpoint& from, net::MessageType type,
                             const std::vector<uint8_t>& payload) {
-  if (retired_ && (type == net::MessageType::kWebQuery ||
-                   type == net::MessageType::kCloneBatch)) {
-    // §10.2: a retired site never processes another clone. Answer
-    // terminally — kSiteRetired NACK plus named degraded reports — so the
-    // sender stops retrying and the user site's CHT settles.
-    HandleCloneWhileRetired(from, type, payload);
-    return;
-  }
   switch (type) {
-    case net::MessageType::kWebQuery: {
-      if (options_.admission.max_pending != 0) {
-        AdmitClone(from, payload);
-        return;
-      }
-      // Delivery dedup MUST precede all protocol processing: a redelivered
-      // clone that reached the log table would emit a second duplicate-drop
-      // report and unbalance the robust CHT's add/delete counts.
-      const net::Endpoint self{host_, kQueryServerPort};
-      std::vector<uint8_t> inner;
-      const std::vector<uint8_t>* body = &payload;
-      uint64_t seq = 0;
-      bool deferred = false;  // ack withheld until the WAL append (§8)
-      if (receiver_.enabled()) {
-        if (WalEnabled()) {
-          // Ack-after-append: Accept() would ack immediately, before the
-          // clone is durable — a crash in the gap would lose an acked
-          // clone. Peek the envelope instead and commit (ack) only after
-          // the kCloneAdmitted record is on storage.
-          if (!net::ReliableReceiver::PeekSeq(payload, &seq)) return;
-          if (receiver_.TestSeen(from, seq)) {
-            receiver_.SendAck(self, from, seq);  // the original ack was lost
-            return;
-          }
-          if (!net::ReliableReceiver::StripEnvelope(payload, &inner)) return;
-          deferred = true;
-        } else if (!receiver_.Accept(self, from, payload, &inner)) {
-          return;  // replay of an already-processed transfer
-        }
-        body = &inner;
-      }
-      serialize::Decoder dec(*body);
-      query::WebQuery clone;
-      Status status = query::WebQuery::DecodeFrom(&dec, &clone);
-      if (status.ok()) status = dec.ExpectAtEnd("clone payload");
-      if (!status.ok()) {
-        ++stats_.decode_errors;
-        WEBDIS_LOG(kWarning) << host_ << ": bad clone: " << status.ToString();
-        if (deferred) {
-          // A malformed clone decodes no better on retransmission: commit
-          // (ack) so the sender stops — but log the dedup commit first, or
-          // a post-restart retransmission would be reprocessed.
-          serialize::Encoder rec;
-          WalTransferSeen{from, seq}.EncodeTo(&rec);
-          AppendWalRecord(WalRecordType::kTransferSeen, rec);
-          (void)receiver_.AcceptSeq(self, from, seq);
-        }
-        return;
-      }
-      const uint64_t wal_id =
-          PersistAdmit(from, deferred, seq, clone);
-      if (deferred && !receiver_.AcceptSeq(self, from, seq)) {
-        FinishWalClone(wal_id);
-        return;  // raced with another copy of the same transfer
-      }
-      ProcessCloneDurable(std::move(clone), wal_id);
-      return;
-    }
+    case net::MessageType::kWebQuery:
     case net::MessageType::kCloneBatch: {
-      if (options_.admission.max_pending != 0) {
-        AdmitBatch(from, payload);
+      if (!retired_ && options_.admission.max_pending != 0) {
+        if (type == net::MessageType::kWebQuery) {
+          AdmitClone(from, payload);
+        } else {
+          AdmitBatch(from, payload);
+        }
         return;
       }
-      // Mirrors the kWebQuery path: one delivery envelope covers the whole
-      // batch, so dedup and the ack-after-append rule apply to the unit —
-      // one kBatchAdmitted record precedes the one batch ack, and every
-      // member is then processed (all-or-none admission, §9.2).
       const net::Endpoint self{host_, kQueryServerPort};
-      std::vector<uint8_t> inner;
-      const std::vector<uint8_t>* body = &payload;
-      uint64_t seq = 0;
-      bool deferred = false;
-      if (receiver_.enabled()) {
-        if (WalEnabled()) {
-          if (!net::ReliableReceiver::PeekSeq(payload, &seq)) return;
-          if (receiver_.TestSeen(from, seq)) {
-            receiver_.SendAck(self, from, seq);
-            return;
-          }
-          if (!net::ReliableReceiver::StripEnvelope(payload, &inner)) return;
-          deferred = true;
-        } else if (!receiver_.Accept(self, from, payload, &inner)) {
-          return;
-        }
-        body = &inner;
-      }
-      serialize::Decoder dec(*body);
-      query::CloneBatch batch;
-      Status status = query::CloneBatch::DecodeFrom(&dec, &batch);
-      if (status.ok()) status = dec.ExpectAtEnd("clone-batch payload");
-      if (!status.ok()) {
-        ++stats_.decode_errors;
-        WEBDIS_LOG(kWarning) << host_ << ": bad clone batch: "
-                             << status.ToString();
-        if (deferred) {
-          serialize::Encoder rec;
-          WalTransferSeen{from, seq}.EncodeTo(&rec);
-          AppendWalRecord(WalRecordType::kTransferSeen, rec);
-          (void)receiver_.AcceptSeq(self, from, seq);
+      QueuedClone unit;
+      const TransferRead read = ReadTransfer(from, type, payload, &unit);
+      if (read == TransferRead::kDropped) return;
+      if (retired_) {
+        // §10.2: a retired site never processes another clone. Answer
+        // terminally — kSiteRetired NACK plus named degraded reports — so
+        // the sender stops retrying and the user site's CHT settles. A
+        // replay was answered once already; only its NACK is due again.
+        if (read == TransferRead::kUnit) {
+          RetireUnit(std::move(unit));
+        } else if (unit.tracked) {
+          receiver_.SendSiteRetired(self, from, unit.seq);
+          ++stats_.site_retired_nacks_sent;
         }
         return;
       }
-      const uint64_t wal_id =
-          PersistAdmitBatch(from, deferred, seq, batch.clones);
-      if (deferred && !receiver_.AcceptSeq(self, from, seq)) {
-        for (size_t i = 0; i < batch.clones.size(); ++i) {
-          FinishWalClone(wal_id == 0 ? 0 : wal_id + i);
+      if (read != TransferRead::kUnit) {
+        // Re-ack a replay, whose original ack may have been lost;
+        // AcceptSeq counts it in redeliveries_suppressed. A malformed
+        // transfer decodes no better on retransmission, so commit (ack) it
+        // too — after logging the commit (§8), or a post-restart
+        // retransmission would be decoded again.
+        if (read == TransferRead::kUndecodable && unit.tracked) {
+          serialize::Encoder rec;
+          WalTransferSeen{from, unit.seq}.EncodeTo(&rec);
+          AppendWalRecord(WalRecordType::kTransferSeen, rec);
         }
-        return;  // raced with another copy of the same transfer
+        if (unit.tracked) (void)receiver_.AcceptSeq(self, from, unit.seq);
+        return;
       }
-      ++stats_.clone_batches_received;
-      stats_.clone_batch_members_received += batch.clones.size();
-      for (size_t i = 0; i < batch.clones.size(); ++i) {
-        ProcessCloneDurable(std::move(batch.clones[i]),
-                            wal_id == 0 ? 0 : wal_id + i);
+      // Ack-after-append (§8): the admission record must be on storage
+      // before the ack, or a crash in the gap would lose an acked clone.
+      // One record and one ack cover a whole batch (all-or-none, §9.2).
+      unit.wal_id =
+          type == net::MessageType::kWebQuery
+              ? PersistAdmit(from, unit.tracked, unit.seq, unit.clones.front())
+              : PersistAdmitBatch(from, unit.tracked, unit.seq, unit.clones);
+      // Cannot be a replay: ReadTransfer just checked.
+      if (unit.tracked) (void)receiver_.AcceptSeq(self, from, unit.seq);
+      if (type == net::MessageType::kCloneBatch) {
+        ++stats_.clone_batches_received;
+        stats_.clone_batch_members_received += unit.clones.size();
+      }
+      for (size_t i = 0; i < unit.clones.size(); ++i) {
+        ProcessCloneDurable(std::move(unit.clones[i]),
+                            unit.wal_id == 0 ? 0 : unit.wal_id + i);
       }
       return;
     }
@@ -354,7 +288,60 @@ query::NodeReport MakeRetiredReport(std::string url, query::CloneState state) {
   return nr;
 }
 
+/// Announce-then-delete for a clone that never reached its destination
+/// site: one undeliverable report per destination node clears the CHT
+/// entries its parent announced, and tells the user site to fall back to
+/// centralized processing for those nodes.
+void AddUndeliverableReports(const query::WebQuery& clone,
+                             std::vector<query::NodeReport>* out) {
+  for (const std::string& url : clone.dest_urls) {
+    query::NodeReport nr;
+    nr.node_url = url;
+    nr.received_state = clone.State();
+    nr.undeliverable = true;
+    out->push_back(std::move(nr));
+  }
+}
+
 }  // namespace
+
+QueryServer::TransferRead QueryServer::ReadTransfer(
+    const net::Endpoint& from, net::MessageType type,
+    const std::vector<uint8_t>& payload, QueuedClone* unit) {
+  unit->from = from;
+  unit->tracked = receiver_.enabled();
+  std::vector<uint8_t> inner;
+  if (unit->tracked) {
+    if (!net::ReliableReceiver::PeekSeq(payload, &unit->seq) ||
+        !net::ReliableReceiver::StripEnvelope(payload, &inner)) {
+      return TransferRead::kDropped;
+    }
+    if (receiver_.TestSeen(from, unit->seq)) return TransferRead::kReplay;
+  }
+  serialize::Decoder dec(unit->tracked ? inner : payload);
+  const bool single = type == net::MessageType::kWebQuery;
+  Status status;
+  if (single) {
+    unit->clones.emplace_back();
+    status = query::WebQuery::DecodeFrom(&dec, &unit->clones.back());
+  } else {
+    query::CloneBatch batch;
+    status = query::CloneBatch::DecodeFrom(&dec, &batch);
+    unit->clones = std::move(batch.clones);
+  }
+  if (status.ok()) {
+    status = dec.ExpectAtEnd(single ? "clone payload" : "clone-batch payload");
+  }
+  if (!status.ok()) {
+    ++stats_.decode_errors;
+    WEBDIS_LOG(kWarning) << host_ << (single ? ": bad clone: "
+                                             : ": bad clone batch: ")
+                         << status.ToString();
+    unit->clones.clear();
+    return TransferRead::kUndecodable;
+  }
+  return TransferRead::kUnit;
+}
 
 size_t QueryServer::PendingMembers() const {
   size_t members = 0;
@@ -665,58 +652,6 @@ void QueryServer::RetireUnit(QueuedClone unit) {
   }
 }
 
-void QueryServer::HandleCloneWhileRetired(
-    const net::Endpoint& from, net::MessageType type,
-    const std::vector<uint8_t>& payload) {
-  const net::Endpoint self{host_, kQueryServerPort};
-  QueuedClone unit;
-  unit.from = from;
-  unit.tracked = receiver_.enabled();
-  std::vector<uint8_t> inner;
-  const std::vector<uint8_t>* body = &payload;
-  if (unit.tracked) {
-    if (!net::ReliableReceiver::PeekSeq(payload, &unit.seq)) return;
-    if (receiver_.TestSeen(from, unit.seq)) {
-      // A transfer committed before retirement was already answered once;
-      // only the terminal NACK is due (its ack may have been lost).
-      receiver_.SendSiteRetired(self, from, unit.seq);
-      ++stats_.site_retired_nacks_sent;
-      return;
-    }
-    if (!net::ReliableReceiver::StripEnvelope(payload, &inner)) return;
-    body = &inner;
-  }
-  serialize::Decoder dec(*body);
-  if (type == net::MessageType::kWebQuery) {
-    query::WebQuery clone;
-    Status status = query::WebQuery::DecodeFrom(&dec, &clone);
-    if (status.ok()) status = dec.ExpectAtEnd("clone payload");
-    if (!status.ok()) {
-      ++stats_.decode_errors;
-      if (unit.tracked) {
-        receiver_.SendSiteRetired(self, from, unit.seq);
-        ++stats_.site_retired_nacks_sent;
-      }
-      return;
-    }
-    unit.clones.push_back(std::move(clone));
-  } else {
-    query::CloneBatch batch;
-    Status status = query::CloneBatch::DecodeFrom(&dec, &batch);
-    if (status.ok()) status = dec.ExpectAtEnd("clone-batch payload");
-    if (!status.ok()) {
-      ++stats_.decode_errors;
-      if (unit.tracked) {
-        receiver_.SendSiteRetired(self, from, unit.seq);
-        ++stats_.site_retired_nacks_sent;
-      }
-      return;
-    }
-    unit.clones = std::move(batch.clones);
-  }
-  RetireUnit(std::move(unit));
-}
-
 const relational::Database& QueryServer::NodeDatabase(
     const web::WebGraph::Document& doc,
     const std::vector<relational::TableRef>& from, VisitDatabase* visit) {
@@ -1006,8 +941,6 @@ void QueryServer::OnAck(uint64_t token) {
 bool QueryServer::DispatchReports(const query::WebQuery& clone,
                                   std::vector<query::NodeReport> reports) {
   if (reports.empty()) return true;
-  const net::Endpoint self{host_, kQueryServerPort};
-  const net::Endpoint user_site{clone.id.reply_host, clone.id.reply_port};
   std::vector<query::QueryReport> messages;
   if (options_.batch_reports) {
     query::QueryReport qr;
@@ -1036,30 +969,81 @@ bool QueryServer::DispatchReports(const query::WebQuery& clone,
     return true;
   }
   for (const query::QueryReport& qr : messages) {
-    serialize::Encoder enc;
-    qr.EncodeTo(&enc);
-    const Status status = sender_.Send(
-        self, user_site, net::MessageType::kReport, enc.Release());
-    if (status.code() == StatusCode::kConnectionRefused) {
-      // Passive termination (Section 2.8): the user site closed its result
-      // socket; purge the query locally and do not forward. Only the
-      // synchronous refusal means this — see report_send_errors below.
-      ++stats_.passive_terminations;
-      terminated_queries_.insert(clone.id.Key());
-      log_table_.PurgeQuery(clone.id.Key());
-      return false;
-    }
-    if (!status.ok()) {
-      // Transient transport error (e.g. IoError mid-write over real TCP).
-      // NOT a termination signal: purging here would strand the user site's
-      // CHT entries until deadline-GC even though the site is alive. With
-      // retry enabled the transfer is already armed for retransmission;
-      // either way the deadline sweep is the backstop, so keep going.
-      ++stats_.report_send_errors;
-      WEBDIS_LOG(kWarning) << host_ << ": report to "
-                           << user_site.ToString()
-                           << " failed: " << status.ToString();
-    }
+    if (!SendReport(qr)) return false;
+  }
+  return true;
+}
+
+bool QueryServer::SendReport(const query::QueryReport& report) {
+  const net::Endpoint user_site{report.id.reply_host, report.id.reply_port};
+  serialize::Encoder enc;
+  report.EncodeTo(&enc);
+  const Status status =
+      sender_.Send(net::Endpoint{host_, kQueryServerPort}, user_site,
+                   net::MessageType::kReport, enc.Release());
+  if (status.code() == StatusCode::kConnectionRefused) {
+    // Only the synchronous refusal means the socket is closed — see
+    // report_send_errors below.
+    TerminatePassively(report.id);
+    return false;
+  }
+  if (!status.ok()) {
+    // Transient transport error (e.g. IoError mid-write over real TCP).
+    // NOT a termination signal: purging here would strand the user site's
+    // CHT entries until deadline-GC even though the site is alive. With
+    // retry enabled the transfer is already armed for retransmission;
+    // either way the deadline sweep is the backstop, so keep going.
+    ++stats_.report_send_errors;
+    WEBDIS_LOG(kWarning) << host_ << ": report to " << user_site.ToString()
+                         << " failed: " << status.ToString();
+  }
+  return true;
+}
+
+void QueryServer::TerminatePassively(const query::QueryId& id) {
+  ++stats_.passive_terminations;
+  terminated_queries_.insert(id.Key());
+  log_table_.PurgeQuery(id.Key());
+}
+
+bool QueryServer::SendClones(const std::string& dest_host,
+                             std::span<const query::WebQuery> unit) {
+  const size_t count = unit.size();
+  serialize::Encoder enc;
+  if (count == 1) {
+    unit.front().EncodeTo(&enc);
+  } else {
+    query::CloneBatch::EncodeMembers(unit, &enc);
+  }
+  const Status status = sender_.Send(
+      net::Endpoint{host_, kQueryServerPort},
+      net::Endpoint{dest_host, kQueryServerPort},
+      count == 1 ? net::MessageType::kWebQuery : net::MessageType::kCloneBatch,
+      enc.Release());
+  if (status.code() == StatusCode::kConnectionRefused) {
+    // The destination runs no query server (non-participating site, or it
+    // crashed).
+    stats_.undeliverable_forwards += count;
+    breakers_.RecordFailure(dest_host, Now());
+    return false;
+  }
+  if (!status.ok()) {
+    // Transient error, not refusal: the clones may still arrive via the
+    // retry layer, so the CHT entries stay valid — reporting the nodes
+    // undeliverable would fall back to centralized processing AND possibly
+    // process them remotely on redelivery.
+    stats_.forward_send_errors += count;
+    WEBDIS_LOG(kWarning) << host_ << ": forward to " << dest_host
+                         << " failed: " << status.ToString();
+  } else if (!sender_.enabled()) {
+    // No delivery acks to wait for: synchronous acceptance is the best
+    // evidence of destination health we will get.
+    breakers_.RecordSuccess(dest_host, Now());
+  }
+  stats_.clones_forwarded += count;
+  if (count > 1) {
+    ++stats_.clone_batches_sent;
+    stats_.clone_batch_members_sent += count;
   }
   return true;
 }
@@ -1224,7 +1208,6 @@ void QueryServer::ProcessClone(query::WebQuery clone) {
     child_alloc_extra = leftover % out_clones.size();
   }
 
-  const net::Endpoint self{host_, kQueryServerPort};
   // Ack-tree mode: children forwarded from this clone ack against a fresh
   // local token; this clone's own ack to its parent is deferred until all
   // children report in (Dijkstra–Scholten).
@@ -1272,15 +1255,7 @@ void QueryServer::ProcessClone(query::WebQuery clone) {
     // burning the retry budget against a host known to be failing.
     if (!breakers_.Allow(out.dest_host, Now())) {
       ++stats_.undeliverable_forwards;
-      for (const std::string& url : out.dest_urls) {
-        query::NodeReport nr;
-        nr.node_url = url;
-        nr.received_state.num_q =
-            static_cast<uint32_t>(next.remaining_queries.size());
-        nr.received_state.rem_pre = next.rem_pre;
-        nr.undeliverable = true;
-        followup_reports.push_back(std::move(nr));
-      }
+      AddUndeliverableReports(next, &followup_reports);
       continue;
     }
     if (BatchingEnabled() && !clone.ack_mode) {
@@ -1292,42 +1267,10 @@ void QueryServer::ProcessClone(query::WebQuery clone) {
       ScheduleFlush();
       continue;
     }
-    serialize::Encoder enc;
-    next.EncodeTo(&enc);
-    const Status status =
-        sender_.Send(self, net::Endpoint{out.dest_host, kQueryServerPort},
-                     net::MessageType::kWebQuery, enc.Release());
-    if (status.code() == StatusCode::kConnectionRefused) {
-      // The destination runs no query server (non-participating site, or it
-      // crashed). Tell the user site so (a) its CHT entries clear and
-      // (b) it can fall back to centralized processing for those nodes.
-      ++stats_.undeliverable_forwards;
-      breakers_.RecordFailure(out.dest_host, Now());
-      for (const std::string& url : out.dest_urls) {
-        query::NodeReport nr;
-        nr.node_url = url;
-        nr.received_state.num_q =
-            static_cast<uint32_t>(next.remaining_queries.size());
-        nr.received_state.rem_pre = next.rem_pre;
-        nr.undeliverable = true;
-        followup_reports.push_back(std::move(nr));
-      }
-    } else {
-      if (!status.ok()) {
-        // Transient error, not refusal: the clone may still arrive via the
-        // retry layer, so the CHT entries stay valid — do not report the
-        // nodes undeliverable (that would fall back to centralized
-        // processing AND possibly process them remotely on redelivery).
-        ++stats_.forward_send_errors;
-        WEBDIS_LOG(kWarning) << host_ << ": forward to " << out.dest_host
-                             << " failed: " << status.ToString();
-      } else if (!sender_.enabled()) {
-        // No delivery acks to wait for: synchronous acceptance is the best
-        // evidence of destination health we will get.
-        breakers_.RecordSuccess(out.dest_host, Now());
-      }
-      ++stats_.clones_forwarded;
+    if (SendClones(out.dest_host, {&next, 1})) {
       ++ack_children;
+    } else {
+      AddUndeliverableReports(next, &followup_reports);
     }
   }
   if (!followup_reports.empty() && !clone.ack_mode) {
@@ -1405,6 +1348,20 @@ void QueryServer::FinishWalUnit(const QueuedClone& unit) {
 
 void QueryServer::FinishWalClone(uint64_t wal_id) {
   if (wal_id == 0) return;
+  if (BatchingEnabled()) {
+    // The clone's output — reports of a processed, shed or retired unit —
+    // may still sit in the staging maps. Completing it now would let a
+    // crash in the gap lose those sends with no replay to regenerate them
+    // (a CHT hang), and a snapshot triggered now would cover clones whose
+    // output is still staged.
+    wal_pending_flush_.push_back(wal_id);
+    ScheduleFlush();
+    return;
+  }
+  CompleteWalClone(wal_id);
+}
+
+void QueryServer::CompleteWalClone(uint64_t wal_id) {
   if (WalEnabled()) {
     serialize::Encoder payload;
     WalCloneCompleted{wal_id}.EncodeTo(&payload);
@@ -1419,15 +1376,7 @@ void QueryServer::ProcessCloneDurable(query::WebQuery clone,
   ProcessClone(std::move(clone));
   // Every exit from ProcessClone is terminal for this clone (evaluated,
   // expired, invalid, or dropped as terminated), so the completion record
-  // is due unconditionally — but with batching on, the clone's output may
-  // still sit in the staging maps. Writing kCloneCompleted now would make
-  // a crash-in-the-gap lose the staged reports with no replay to
-  // regenerate them (a CHT hang); defer the record past the next flush.
-  if (wal_id != 0 && BatchingEnabled()) {
-    wal_pending_flush_.push_back(wal_id);
-    ScheduleFlush();
-    return;
-  }
+  // is due unconditionally.
   FinishWalClone(wal_id);
 }
 
@@ -1444,7 +1393,6 @@ void QueryServer::ScheduleFlush() {
 }
 
 void QueryServer::FlushBatches() {
-  const net::Endpoint self{host_, kQueryServerPort};
   // Take the staged state up front: refusal handling below routes through
   // DispatchReports, which may stage fresh follow-ups (flushed next
   // window) — iterating the live maps while that happens would be UB.
@@ -1457,28 +1405,14 @@ void QueryServer::FlushBatches() {
 
   // -- Reports first (the §2.7.1 ordering holds across the flush too) -------
   for (auto& [reply_host, members] : reports) {
-    size_t begin = 0;
-    while (begin < members.size()) {
+    for (size_t begin = 0; begin < members.size();
+         begin += options_.batch_max_members) {
       const size_t end =
           std::min(members.size(), begin + options_.batch_max_members);
-      const size_t count = end - begin;
-      if (count == 1) {
+      if (end - begin == 1) {
         // A lone member gains nothing from an envelope: send it as a plain
         // kReport with the standard refusal semantics.
-        query::QueryReport& qr = members[begin];
-        const net::Endpoint user_site{qr.id.reply_host, qr.id.reply_port};
-        serialize::Encoder enc;
-        qr.EncodeTo(&enc);
-        const Status status = sender_.Send(
-            self, user_site, net::MessageType::kReport, enc.Release());
-        if (status.code() == StatusCode::kConnectionRefused) {
-          ++stats_.passive_terminations;
-          terminated_queries_.insert(qr.id.Key());
-          log_table_.PurgeQuery(qr.id.Key());
-        } else if (!status.ok()) {
-          ++stats_.report_send_errors;
-        }
-        ++begin;
+        (void)SendReport(members[begin]);
         continue;
       }
       // The carrier socket is the lowest member port: deterministic, and
@@ -1491,42 +1425,31 @@ void QueryServer::FlushBatches() {
       }
       serialize::Encoder enc;
       batch.EncodeTo(&enc);
+      const net::Endpoint carrier{reply_host, carrier_port};
       const Status status =
-          sender_.Send(self, net::Endpoint{reply_host, carrier_port},
+          sender_.Send(net::Endpoint{host_, kQueryServerPort}, carrier,
                        net::MessageType::kReportBatch, enc.Release());
       if (status.code() == StatusCode::kConnectionRefused) {
         // Only the CARRIER socket is provably closed — terminate the
         // queries bound to that port passively (§2.8) and resend the other
         // members individually so one completed query cannot take its
         // batch peers down with it.
-        for (query::QueryReport& qr : batch.reports) {
+        for (const query::QueryReport& qr : batch.reports) {
           if (qr.id.reply_port == carrier_port) {
-            ++stats_.passive_terminations;
-            terminated_queries_.insert(qr.id.Key());
-            log_table_.PurgeQuery(qr.id.Key());
-            continue;
-          }
-          const net::Endpoint user_site{qr.id.reply_host, qr.id.reply_port};
-          serialize::Encoder single;
-          qr.EncodeTo(&single);
-          const Status resend =
-              sender_.Send(self, user_site, net::MessageType::kReport,
-                           single.Release());
-          if (resend.code() == StatusCode::kConnectionRefused) {
-            ++stats_.passive_terminations;
-            terminated_queries_.insert(qr.id.Key());
-            log_table_.PurgeQuery(qr.id.Key());
-          } else if (!resend.ok()) {
-            ++stats_.report_send_errors;
+            TerminatePassively(qr.id);
+          } else {
+            (void)SendReport(qr);
           }
         }
       } else if (!status.ok()) {
         ++stats_.report_send_errors;
+        WEBDIS_LOG(kWarning) << host_ << ": report batch to "
+                             << carrier.ToString()
+                             << " failed: " << status.ToString();
       } else {
         ++stats_.report_batches_sent;
-        stats_.report_batch_members_sent += count;
+        stats_.report_batch_members_sent += end - begin;
       }
-      begin = end;
     }
   }
 
@@ -1538,63 +1461,20 @@ void QueryServer::FlushBatches() {
     std::erase_if(members, [this](const query::WebQuery& m) {
       return terminated_queries_.contains(m.id.Key());
     });
-    size_t begin = 0;
-    while (begin < members.size()) {
+    for (size_t begin = 0; begin < members.size();
+         begin += options_.batch_max_members) {
       const size_t end =
           std::min(members.size(), begin + options_.batch_max_members);
-      const size_t count = end - begin;
-      Status status = Status::OK();
-      if (count == 1) {
-        serialize::Encoder enc;
-        members[begin].EncodeTo(&enc);
-        status = sender_.Send(self,
-                              net::Endpoint{dest_host, kQueryServerPort},
-                              net::MessageType::kWebQuery, enc.Release());
-      } else {
-        query::CloneBatch batch;
-        for (size_t i = begin; i < end; ++i) {
-          batch.clones.push_back(std::move(members[i]));
-        }
-        serialize::Encoder enc;
-        batch.EncodeTo(&enc);
-        status = sender_.Send(self,
-                              net::Endpoint{dest_host, kQueryServerPort},
-                              net::MessageType::kCloneBatch, enc.Release());
-        // Move the members back so the refusal path below can still name
-        // every destination node in its follow-up reports.
-        for (size_t i = begin; i < end; ++i) {
-          members[i] = std::move(batch.clones[i - begin]);
-        }
+      const std::span<const query::WebQuery> unit(members.data() + begin,
+                                                  end - begin);
+      if (SendClones(dest_host, unit)) continue;
+      // Announce-then-delete every member's CHT entries, exactly like the
+      // unbatched refusal path.
+      for (const query::WebQuery& member : unit) {
+        std::vector<query::NodeReport> followups;
+        AddUndeliverableReports(member, &followups);
+        (void)DispatchReports(member, std::move(followups));
       }
-      if (status.code() == StatusCode::kConnectionRefused) {
-        // No query server at the destination: announce-then-delete every
-        // member's CHT entries, exactly like the unbatched refusal path.
-        stats_.undeliverable_forwards += count;
-        breakers_.RecordFailure(dest_host, Now());
-        for (size_t i = begin; i < end; ++i) {
-          const query::WebQuery& member = members[i];
-          std::vector<query::NodeReport> followups;
-          followups.reserve(member.dest_urls.size());
-          for (const std::string& url : member.dest_urls) {
-            query::NodeReport nr;
-            nr.node_url = url;
-            nr.received_state = member.State();
-            nr.undeliverable = true;
-            followups.push_back(std::move(nr));
-          }
-          (void)DispatchReports(member, std::move(followups));
-        }
-      } else if (!status.ok()) {
-        stats_.forward_send_errors += count;
-      } else {
-        if (!sender_.enabled()) breakers_.RecordSuccess(dest_host, Now());
-        stats_.clones_forwarded += count;
-        if (count > 1) {
-          ++stats_.clone_batches_sent;
-          stats_.clone_batch_members_sent += count;
-        }
-      }
-      begin = end;
     }
   }
 
@@ -1605,7 +1485,7 @@ void QueryServer::FlushBatches() {
   // before the next flush would lose the follow-ups unreplayably.
   if (staged_reports_.empty() && staged_clones_.empty()) {
     for (const uint64_t wal_id : finished) {
-      FinishWalClone(wal_id);
+      CompleteWalClone(wal_id);
     }
   } else {
     wal_pending_flush_.insert(wal_pending_flush_.end(), finished.begin(),

@@ -6,6 +6,7 @@
 #include <list>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -266,6 +267,22 @@ class QueryServer {
 
   void OnMessage(const net::Endpoint& from, net::MessageType type,
                  const std::vector<uint8_t>& payload);
+  /// What ReadTransfer made of one clone transfer.
+  enum class TransferRead {
+    kDropped,      // malformed delivery envelope: dropped unanswered
+    kReplay,       // a committed transfer again; unit->seq names it
+    kUndecodable,  // counted and logged; unit->seq names a tracked one
+    kUnit,         // unit->clones holds every member
+  };
+  /// Reads a kWebQuery (a one-member unit) or kCloneBatch transfer outside
+  /// admission control. Peeks the delivery envelope without committing it:
+  /// the caller acks, re-acks or NACKs. Delivery dedup MUST precede all
+  /// protocol processing — a redelivered clone that reached the log table
+  /// would emit a second duplicate-drop report and unbalance the robust
+  /// CHT's add/delete counts.
+  TransferRead ReadTransfer(const net::Endpoint& from, net::MessageType type,
+                            const std::vector<uint8_t>& payload,
+                            QueuedClone* unit);
   /// Admission control front door for kWebQuery (PROTOCOL.md §7.2).
   void AdmitClone(const net::Endpoint& from,
                   const std::vector<uint8_t>& payload);
@@ -285,10 +302,6 @@ class QueryServer {
   /// outcomes, and the WAL completion records so recovery never replays
   /// them.
   void RetireUnit(QueuedClone unit);
-  /// Front door for kWebQuery / kCloneBatch arriving while retired.
-  void HandleCloneWhileRetired(const net::Endpoint& from,
-                               net::MessageType type,
-                               const std::vector<uint8_t>& payload);
   /// Queued members across units (admission capacity counts members, not
   /// units — a 10-member batch occupies 10 slots).
   size_t PendingMembers() const;
@@ -352,9 +365,14 @@ class QueryServer {
                              const std::vector<query::WebQuery>& clones);
   /// FinishWalClone for every member id of one queued unit.
   void FinishWalUnit(const QueuedClone& unit);
-  /// Marks an admitted clone terminally processed (kCloneCompleted) and
-  /// counts it toward the snapshot cadence. No-op for wal_id == 0.
+  /// Marks an admitted clone terminally processed. With batching live its
+  /// output may still be staged, so the completion waits for the next
+  /// flush (a crash before it replays the clone and regenerates the lost
+  /// sends); otherwise it is completed now. No-op for wal_id == 0.
   void FinishWalClone(uint64_t wal_id);
+  /// Writes kCloneCompleted and counts the clone toward the snapshot
+  /// cadence.
+  void CompleteWalClone(uint64_t wal_id);
   void MaybeSnapshot();
   void WriteSnapshotNow();
   /// Restores durable state after Restart(): snapshot load, WAL replay,
@@ -382,12 +400,27 @@ class QueryServer {
       const web::WebGraph::Document& doc,
       const std::vector<relational::TableRef>& from, VisitDatabase* visit);
 
-  /// Sends a report to the clone's user site; on connection-refused performs
-  /// passive termination bookkeeping. Returns whether forwarding may
-  /// proceed — forwarding after a passive termination would resurrect a
-  /// query the user already abandoned, hence [[nodiscard]].
+  /// Sends (or, with batching live, stages) the clone's reports to its user
+  /// site. Returns whether forwarding may proceed — forwarding after a
+  /// passive termination would resurrect a query the user already
+  /// abandoned, hence [[nodiscard]].
   [[nodiscard]] bool DispatchReports(const query::WebQuery& clone,
                                      std::vector<query::NodeReport> reports);
+  /// Sends one kReport to its query's user site. A refusal terminates the
+  /// query passively and returns false; a transient error is counted and
+  /// logged, and returns true.
+  [[nodiscard]] bool SendReport(const query::QueryReport& report);
+  /// Passive termination (§2.8): the user site closed the query's result
+  /// socket, so the query is purged here and never forwarded again.
+  void TerminatePassively(const query::QueryId& id);
+  /// Sends a unit of clones to `dest_host`'s query server, one member as
+  /// kWebQuery or several as one kCloneBatch, and books the outcome.
+  /// Returns false when the destination refused: no query server runs
+  /// there, and the caller reports the members' nodes undeliverable. A
+  /// transient error counts as forwarded — with retry on, the transfer is
+  /// already armed for retransmission.
+  bool SendClones(const std::string& dest_host,
+                  std::span<const query::WebQuery> unit);
 
   /// Ack-tree termination baseline (Related Work [4]): a clone's ack is
   /// deferred until every child clone forwarded from it has acked.
@@ -458,10 +491,11 @@ class QueryServer {
   std::map<std::string, std::vector<query::WebQuery>> staged_clones_;
   std::map<std::string, std::vector<query::QueryReport>> staged_reports_;
   uint64_t flush_timer_ = 0;
-  /// WAL record ids whose clones were processed but whose staged output
-  /// has not been flushed yet: their kCloneCompleted records are written at
-  /// the end of the next flush (crash before that replays the clones, so
-  /// the staged-and-lost reports are regenerated — at-least-once).
+  /// WAL record ids whose clones reached a terminal exit (processed, shed
+  /// or retired) while batching is live, so their output may still be
+  /// staged: their kCloneCompleted records are written at the end of the
+  /// next flush (crash before that replays the clones, so the
+  /// staged-and-lost reports are regenerated — at-least-once).
   std::vector<uint64_t> wal_pending_flush_;
   VisitObserver visit_observer_;
   bool started_ = false;

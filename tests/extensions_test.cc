@@ -7,6 +7,7 @@
 
 #include "common/strings.h"
 #include "core/engine.h"
+#include "net/fault.h"
 #include "serialize/encoder.h"
 #include "web/synth.h"
 #include "web/topologies.h"
@@ -167,16 +168,13 @@ TEST(AckTreeTest, LostAckBlocksCompletionButNotResults) {
   core::EngineOptions options;
   options.client.ack_tree_termination = true;
   core::Engine engine(&scenario.web, options);
-  int dropped = 0;
-  engine.network().SetDropFilter(
-      [&dropped](const net::Endpoint&, const net::Endpoint&,
-                 net::MessageType type) {
-        if (type == net::MessageType::kAck && dropped == 0) {
-          ++dropped;
-          return true;
-        }
-        return false;
-      });
+  net::FaultPlan plan;
+  net::FaultPlan::Rule lose_first_ack;
+  lose_first_ack.type = net::MessageType::kAck;
+  lose_first_ack.drop_prob = 1.0;
+  lose_first_ack.max_faults = 1;
+  plan.AddRule(lose_first_ack);
+  engine.network().SetFaultPlan(&plan);
   auto compiled = disql::CompileDisql(scenario.disql);
   ASSERT_TRUE(compiled.ok());
   auto id = engine.Submit(compiled.value());

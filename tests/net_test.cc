@@ -146,26 +146,6 @@ TEST(SimNetworkTest, SmallerMessagesOvertakeLargerOnes) {
   EXPECT_EQ(order, (std::vector<std::string>{"small", "big"}));
 }
 
-TEST(SimNetworkTest, DropFilterSimulatesLossAfterAccept) {
-  SimNetwork net;
-  int delivered = 0;
-  ASSERT_TRUE(net.Listen({"b", 1},
-                         [&](const Endpoint&, MessageType,
-                             const std::vector<uint8_t>&) { ++delivered; })
-                  .ok());
-  net.SetDropFilter([](const Endpoint&, const Endpoint&, MessageType type) {
-    return type == MessageType::kWebQuery;
-  });
-  // The send *succeeds* (connection accepted) but the message is lost.
-  ASSERT_TRUE(
-      net.Send({"a", 2}, {"b", 1}, MessageType::kWebQuery, Bytes({1})).ok());
-  ASSERT_TRUE(
-      net.Send({"a", 2}, {"b", 1}, MessageType::kReport, Bytes({1})).ok());
-  net.RunUntilIdle();
-  EXPECT_EQ(delivered, 1);
-  EXPECT_EQ(net.dropped_count(), 1u);
-}
-
 TEST(SimNetworkTest, ServiceTimeSerializesPerListener) {
   SimNetworkOptions options;
   options.inter_host_latency = 10 * kMillisecond;

@@ -9,6 +9,7 @@
 #include "client/user_site.h"
 #include "common/strings.h"
 #include "core/engine.h"
+#include "net/fault.h"
 #include "net/tcp.h"
 #include "serialize/encoder.h"
 #include "server/http_server.h"
@@ -42,14 +43,13 @@ std::set<std::string> AllRowKeys(
 TEST(CompletionSafetyTest, LostForwardsNeverCauseFalseCompletion) {
   web::CampusScenario scenario = web::BuildCampusScenario();
   core::Engine engine(&scenario.web);
-  // Drop every 2nd clone forward *after* it was accepted.
-  int counter = 0;
-  engine.network().SetDropFilter(
-      [&counter](const net::Endpoint&, const net::Endpoint&,
-                 net::MessageType type) {
-        if (type != net::MessageType::kWebQuery) return false;
-        return (++counter % 2) == 0;
-      });
+  // Drop about half of the clone transfers *after* they were accepted.
+  net::FaultPlan plan(/*seed=*/1);
+  net::FaultPlan::Rule lose_clones;
+  lose_clones.type = net::MessageType::kWebQuery;
+  lose_clones.drop_prob = 0.5;
+  plan.AddRule(lose_clones);
+  engine.network().SetFaultPlan(&plan);
   auto compiled = disql::CompileDisql(scenario.disql);
   ASSERT_TRUE(compiled.ok());
   auto id = engine.Submit(compiled.value());
@@ -60,21 +60,21 @@ TEST(CompletionSafetyTest, LostForwardsNeverCauseFalseCompletion) {
   // declared complete (entries for the lost clones stay outstanding).
   EXPECT_FALSE(run->completed);
   EXPECT_GT(engine.network().dropped_count(), 0u);
+  // Some forwards were delivered: the run lost part of its tree, not all.
+  EXPECT_GT(engine.AggregateServerStats().clones_forwarded,
+            plan.stats().dropped);
 }
 
 TEST(CompletionSafetyTest, LostReportAlsoBlocksCompletion) {
   web::CampusScenario scenario = web::BuildCampusScenario();
   core::Engine engine(&scenario.web);
-  int dropped = 0;
-  engine.network().SetDropFilter(
-      [&dropped](const net::Endpoint&, const net::Endpoint&,
-                 net::MessageType type) {
-        if (type == net::MessageType::kReport && dropped == 0) {
-          ++dropped;
-          return true;  // lose exactly the first report
-        }
-        return false;
-      });
+  net::FaultPlan plan;
+  net::FaultPlan::Rule lose_first_report;
+  lose_first_report.type = net::MessageType::kReport;
+  lose_first_report.drop_prob = 1.0;
+  lose_first_report.max_faults = 1;  // lose exactly the first report
+  plan.AddRule(lose_first_report);
+  engine.network().SetFaultPlan(&plan);
   auto compiled = disql::CompileDisql(scenario.disql);
   ASSERT_TRUE(compiled.ok());
   auto id = engine.Submit(compiled.value());

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/strings.h"
 #include "core/engine.h"
 #include "disql/compiler.h"
+#include "html/url.h"
 #include "net/sim.h"
 #include "query/report.h"
 #include "serialize/encoder.h"
@@ -14,6 +16,7 @@
 #include "server/persist.h"
 #include "server/query_server.h"
 #include "web/pagegen.h"
+#include "web/topologies.h"
 
 namespace webdis::server {
 namespace {
@@ -228,16 +231,103 @@ class QueryServerTest : public ::testing::Test {
     ASSERT_TRUE(net_.Listen({"user.site", 9000},
                             [this](const net::Endpoint&, net::MessageType type,
                                    const std::vector<uint8_t>& payload) {
-                              ASSERT_EQ(type, net::MessageType::kReport);
                               payloads_.push_back(payload);
-                              serialize::Decoder dec(payload);
-                              query::QueryReport qr;
-                              ASSERT_TRUE(query::QueryReport::DecodeFrom(
-                                              &dec, &qr)
-                                              .ok());
-                              reports_.push_back(std::move(qr));
+                              KeepReports(type, payload);
                             })
                     .ok());
+  }
+
+  /// Decodes a kReport, or each member of a kReportBatch, into reports_.
+  void KeepReports(net::MessageType type, const std::vector<uint8_t>& payload) {
+    serialize::Decoder dec(payload);
+    if (type == net::MessageType::kReportBatch) {
+      query::ReportBatch batch;
+      ASSERT_TRUE(query::ReportBatch::DecodeFrom(&dec, &batch).ok());
+      for (query::QueryReport& qr : batch.reports) {
+        reports_.push_back(std::move(qr));
+      }
+      return;
+    }
+    ASSERT_EQ(type, net::MessageType::kReport);
+    query::QueryReport qr;
+    ASSERT_TRUE(query::QueryReport::DecodeFrom(&dec, &qr).ok());
+    reports_.push_back(std::move(qr));
+  }
+
+  /// A user site for servers running retry: acks every enveloped report
+  /// from `client` and keeps it in reports_.
+  void ListenAsRetryingUserSite(const net::Endpoint& client) {
+    ASSERT_TRUE(
+        net_.Listen(client,
+                    [this, client](const net::Endpoint& from,
+                                   net::MessageType type,
+                                   const std::vector<uint8_t>& payload) {
+                      uint64_t seq = 0;
+                      std::vector<uint8_t> inner;
+                      ASSERT_TRUE(net::ReliableReceiver::PeekSeq(payload, &seq));
+                      ASSERT_TRUE(
+                          net::ReliableReceiver::StripEnvelope(payload, &inner));
+                      serialize::Encoder ack;
+                      ack.PutU64(seq);
+                      ASSERT_TRUE(net_.Send(client, from,
+                                            net::MessageType::kDeliveryAck,
+                                            ack.Release())
+                                      .ok());
+                      KeepReports(type, inner);
+                    })
+            .ok());
+  }
+
+  /// A forwarding peer: records every delivery-layer answer (ack or NACK)
+  /// the server sends back as (type, transfer seq) in answers_.
+  void ListenAsPeer(const net::Endpoint& peer) {
+    ASSERT_TRUE(net_.Listen(peer,
+                            [this](const net::Endpoint&, net::MessageType type,
+                                   const std::vector<uint8_t>& payload) {
+                              serialize::Decoder dec(payload);
+                              uint64_t seq = 0;
+                              ASSERT_TRUE(dec.GetU64(&seq).ok());
+                              answers_.emplace_back(type, seq);
+                            })
+                    .ok());
+  }
+
+  /// How many answers of `type` for transfer `seq` the peer holds.
+  size_t Answers(net::MessageType type, uint64_t seq) const {
+    return static_cast<size_t>(std::count(answers_.begin(), answers_.end(),
+                                          std::pair(type, seq)));
+  }
+
+  /// Sends `body` from `peer` to the server as transfer `seq`, in the
+  /// delivery envelope a retrying sender puts around it.
+  void SendTracked(const net::Endpoint& peer, uint64_t seq,
+                   net::MessageType type, const std::vector<uint8_t>& body) {
+    serialize::Encoder enveloped;
+    enveloped.PutU64(seq);
+    enveloped.PutRaw(body.data(), body.size());
+    ASSERT_TRUE(net_.Send(peer, {"h", kQueryServerPort}, type,
+                          enveloped.Release())
+                    .ok());
+  }
+
+  /// Replaces the server with a fresh one running `options` over `backend`.
+  void StartDurable(const QueryServerOptions& options,
+                    MemoryPersistBackend* backend) {
+    server_->Stop();
+    server_ = std::make_unique<QueryServer>("h", &web_, &net_, options);
+    server_->SetPersistence(backend);
+    server_->SetClock([this] { return net_.now(); });
+    ASSERT_TRUE(server_->Start().ok());
+  }
+
+  /// Query `number`'s clone for `dests` (N, "alpha"), replying to `client`.
+  query::WebQuery CloneTo(const net::Endpoint& client, uint32_t number,
+                          std::vector<std::string> dests) {
+    query::WebQuery clone = MakeClone("N", "alpha", std::move(dests));
+    clone.id.reply_host = client.host;
+    clone.id.reply_port = client.port;
+    clone.id.query_number = number;
+    return clone;
   }
 
   query::WebQuery MakeClone(const std::string& pre_text,
@@ -295,8 +385,29 @@ class QueryServerTest : public ::testing::Test {
   net::SimNetwork net_;
   std::unique_ptr<QueryServer> server_;
   std::vector<query::QueryReport> reports_;
-  std::vector<std::vector<uint8_t>> payloads_;  // raw kReport payloads
+  std::vector<std::vector<uint8_t>> payloads_;  // raw report payloads
+  std::vector<std::pair<net::MessageType, uint64_t>> answers_;
 };
+
+/// Every query number with a report in `reports`.
+std::set<uint32_t> ReportedQueries(
+    const std::vector<query::QueryReport>& reports) {
+  std::set<uint32_t> out;
+  for (const query::QueryReport& qr : reports) out.insert(qr.id.query_number);
+  return out;
+}
+
+/// Encodes a clone transfer body: one clone as kWebQuery, or a batch.
+std::vector<uint8_t> Body(const query::WebQuery& clone) {
+  serialize::Encoder enc;
+  clone.EncodeTo(&enc);
+  return enc.Release();
+}
+std::vector<uint8_t> Body(const query::CloneBatch& batch) {
+  serialize::Encoder enc;
+  batch.EncodeTo(&enc);
+  return enc.Release();
+}
 
 std::string Hex(const std::vector<uint8_t>& bytes) {
   std::string out;
@@ -802,7 +913,6 @@ constexpr char kLiveSnapshotHex[] =
     "640375726c010000010a687474703a2f2f682f620000";
 
 TEST_F(QueryServerTest, LiveSnapshotHoldsEveryDurableSection) {
-  server_->Stop();
   MemoryPersistBackend backend{PersistFaultRules{}};
   QueryServerOptions options;
   options.retry.enabled = true;  // tracked transfers fill the seen history
@@ -811,64 +921,31 @@ TEST_F(QueryServerTest, LiveSnapshotHoldsEveryDurableSection) {
   options.persist.wal_compact_bytes = 0;
   options.admission.max_pending = 4;
   options.admission.service_time = 1 * kSecond;
-  server_ = std::make_unique<QueryServer>("h", &web_, &net_, options);
-  server_->SetPersistence(&backend);
-  ASSERT_TRUE(server_->Start().ok());
+  StartDurable(options, &backend);
 
   // Reports arrive enveloped under retry, so these queries reply to a
   // client that acks them instead of to the fixture's report decoder.
   const net::Endpoint server{"h", kQueryServerPort};
   const net::Endpoint peer{"peer", 1};
   const net::Endpoint client{"client", 7000};
-  ASSERT_TRUE(net_.Listen(peer, [](const net::Endpoint&, net::MessageType,
-                                   const std::vector<uint8_t>&) {})
-                  .ok());
-  const auto ack_report = [this, client](const net::Endpoint& from,
-                                         net::MessageType,
-                                         const std::vector<uint8_t>& payload) {
-    uint64_t seq = 0;
-    ASSERT_TRUE(net::ReliableReceiver::PeekSeq(payload, &seq));
-    serialize::Encoder ack;
-    ack.PutU64(seq);
-    ASSERT_TRUE(net_.Send(client, from, net::MessageType::kDeliveryAck,
-                          ack.Release())
-                    .ok());
-  };
-  ASSERT_TRUE(net_.Listen(client, ack_report).ok());
-  const auto clone_for = [&](uint32_t query_number, const std::string& url) {
-    query::WebQuery clone = MakeClone("N", "alpha", {url});
-    clone.id.reply_host = client.host;
-    clone.id.reply_port = client.port;
-    clone.id.query_number = query_number;
-    return clone;
-  };
-  uint64_t next_seq = 1;
-  const auto send_tracked = [&](net::MessageType type,
-                                const serialize::Encoder& body) {
-    serialize::Encoder enveloped;
-    enveloped.PutU64(next_seq++);
-    enveloped.PutRaw(body.data().data(), body.size());
-    ASSERT_TRUE(net_.Send(peer, server, type, enveloped.Release()).ok());
-  };
+  ListenAsPeer(peer);
+  ListenAsRetryingUserSite(client);
 
   // Query 9 is terminated; query 1's clone queues first, then a
   // two-member batch (queries 2 and 3) queues behind it. Query 1 drains at
   // 1 s and completes, which writes the snapshot; the crash at 1.5 s comes
   // before the batch drains, so that snapshot is the last.
   serialize::Encoder terminate;
-  clone_for(9, "http://h/a").id.EncodeTo(&terminate);
+  CloneTo(client, 9, {"http://h/a"}).id.EncodeTo(&terminate);
   ASSERT_TRUE(net_.Send(client, server, net::MessageType::kTerminate,
                         terminate.Release())
                   .ok());
-  serialize::Encoder single;
-  clone_for(1, "http://h/a").EncodeTo(&single);
-  send_tracked(net::MessageType::kWebQuery, single);
+  SendTracked(peer, 1, net::MessageType::kWebQuery,
+              Body(CloneTo(client, 1, {"http://h/a"})));
   query::CloneBatch batch;
-  batch.clones.push_back(clone_for(2, "http://h/a"));
-  batch.clones.push_back(clone_for(3, "http://h/b"));
-  serialize::Encoder batch_body;
-  batch.EncodeTo(&batch_body);
-  send_tracked(net::MessageType::kCloneBatch, batch_body);
+  batch.clones.push_back(CloneTo(client, 2, {"http://h/a"}));
+  batch.clones.push_back(CloneTo(client, 3, {"http://h/b"}));
+  SendTracked(peer, 2, net::MessageType::kCloneBatch, Body(batch));
   net_.ScheduleAfter(1500 * kMillisecond, [this] { server_->Crash(); });
   net_.RunUntilIdle();
   ASSERT_EQ(server_->stats().snapshots_written, 1u);
@@ -880,7 +957,8 @@ TEST_F(QueryServerTest, LiveSnapshotHoldsEveryDurableSection) {
   ASSERT_TRUE(DecodeSnapshot(*image, &state).ok());
   EXPECT_EQ(state.log_table.size(), 1u);  // query 1's visit to /a
   EXPECT_EQ(state.terminated_queries,
-            std::vector<std::string>{clone_for(9, "http://h/a").id.Key()});
+            std::vector<std::string>{
+                CloneTo(client, 9, {"http://h/a"}).id.Key()});
   EXPECT_EQ(state.seen_transfers,
             (std::vector<std::pair<net::Endpoint, uint64_t>>{{peer, 1},
                                                              {peer, 2}}));
@@ -903,6 +981,378 @@ TEST_F(QueryServerTest, LiveSnapshotHoldsEveryDurableSection) {
   ASSERT_TRUE(server_->Restart().ok());
   EXPECT_EQ(server_->stats().recovered_from_snapshot, 1u);
   EXPECT_EQ(server_->stats().recovered_clones, 2u);
+}
+
+// -- Clone transfers read inline, under retry and the WAL (§8, §9.2) ---------
+
+TEST_F(QueryServerTest, InlineCloneBatchReplaysAreReackedAcrossRestart) {
+  MemoryPersistBackend backend{PersistFaultRules{}};
+  QueryServerOptions options;
+  options.retry.enabled = true;
+  options.persist.enabled = true;
+  options.persist.snapshot_every_clones = 0;
+  options.persist.wal_compact_bytes = 0;
+  StartDurable(options, &backend);
+  const net::Endpoint peer{"peer", 1};
+  const net::Endpoint client{"client", 7000};
+  ListenAsPeer(peer);
+  ListenAsRetryingUserSite(client);
+  query::CloneBatch batch;
+  batch.clones.push_back(CloneTo(client, 2, {"http://h/a"}));
+  batch.clones.push_back(CloneTo(client, 3, {"http://h/b"}));
+
+  // The batch is admitted under one WAL record, acked once and processed.
+  SendTracked(peer, 1, net::MessageType::kCloneBatch, Body(batch));
+  net_.RunUntilIdle();
+  EXPECT_EQ(Answers(net::MessageType::kDeliveryAck, 1), 1u);
+  EXPECT_EQ(server_->stats().clone_batches_received, 1u);
+  EXPECT_EQ(server_->stats().node_queries_evaluated, 2u);
+  ASSERT_EQ(reports_.size(), 2u);
+
+  // Its retransmission is re-acked and not processed again.
+  SendTracked(peer, 1, net::MessageType::kCloneBatch, Body(batch));
+  net_.RunUntilIdle();
+  EXPECT_EQ(Answers(net::MessageType::kDeliveryAck, 1), 2u);
+  EXPECT_EQ(server_->stats().clone_batches_received, 1u);
+  EXPECT_EQ(server_->stats().node_queries_evaluated, 2u);
+  EXPECT_EQ(reports_.size(), 2u);
+
+  // A batch that does not decode is acked once, after one kTransferSeen
+  // record that keeps the commit across a crash.
+  const uint64_t appended = server_->stats().wal_records_appended;
+  SendTracked(peer, 2, net::MessageType::kCloneBatch, {1, 2, 3});
+  net_.RunUntilIdle();
+  EXPECT_EQ(server_->stats().decode_errors, 1u);
+  EXPECT_EQ(server_->stats().wal_records_appended, appended + 1);
+  EXPECT_EQ(Answers(net::MessageType::kDeliveryAck, 2), 1u);
+
+  // After a crash the WAL replay restores that receipt: the retransmission
+  // is re-acked, not decoded again.
+  server_->Crash();
+  ASSERT_TRUE(server_->Restart().ok());
+  EXPECT_EQ(server_->stats().replayed_wal_records, appended + 1);
+  SendTracked(peer, 2, net::MessageType::kCloneBatch, {1, 2, 3});
+  net_.RunUntilIdle();
+  EXPECT_EQ(Answers(net::MessageType::kDeliveryAck, 2), 2u);
+  EXPECT_EQ(server_->stats().decode_errors, 1u);
+  EXPECT_EQ(server_->stats().recovered_clones, 0u);
+  EXPECT_EQ(reports_.size(), 2u);
+
+  // A payload too short to hold its delivery envelope is dropped
+  // unanswered.
+  ASSERT_TRUE(net_.Send(peer, {"h", kQueryServerPort},
+                        net::MessageType::kCloneBatch, {1, 2, 3})
+                  .ok());
+  net_.RunUntilIdle();
+  EXPECT_EQ(answers_.size(), 4u);
+  EXPECT_EQ(server_->stats().decode_errors, 1u);
+}
+
+TEST_F(QueryServerTest, RetiredServerNacksTrackedCloneBatchOnce) {
+  QueryServerOptions options;
+  options.retry.enabled = true;
+  Restart(options);
+  const net::Endpoint peer{"peer", 1};
+  const net::Endpoint client{"client", 7000};
+  ListenAsPeer(peer);
+  ListenAsRetryingUserSite(client);
+  server_->Retire();
+
+  query::CloneBatch batch;
+  batch.clones.push_back(CloneTo(client, 1, {"http://h/a", "http://h/b"}));
+  batch.clones.push_back(CloneTo(client, 2, {"http://h/b"}));
+  SendTracked(peer, 1, net::MessageType::kCloneBatch, Body(batch));
+  net_.RunUntilIdle();
+
+  // One terminal NACK for the one transfer, and no ack.
+  EXPECT_EQ(answers_, (std::vector<std::pair<net::MessageType, uint64_t>>{
+                          {net::MessageType::kSiteRetired, 1}}));
+  EXPECT_EQ(server_->stats().site_retired_nacks_sent, 1u);
+  // A site-retired report for every destination of every member.
+  std::multiset<std::pair<uint32_t, std::string>> retired;
+  for (const query::QueryReport& qr : reports_) {
+    for (const query::NodeReport& nr : qr.node_reports) {
+      EXPECT_EQ(nr.visibility, query::NodeReport::kVisibilitySiteRetired);
+      retired.emplace(qr.id.query_number, nr.node_url);
+    }
+  }
+  EXPECT_EQ(retired, (std::multiset<std::pair<uint32_t, std::string>>{
+                         {1, "http://h/a"}, {1, "http://h/b"},
+                         {2, "http://h/b"}}));
+  EXPECT_EQ(server_->stats().retired_reports_sent, 3u);
+  EXPECT_EQ(server_->stats().node_queries_evaluated, 0u);
+
+  // A batch that does not decode gets the terminal NACK alone.
+  SendTracked(peer, 2, net::MessageType::kCloneBatch, {1, 2, 3});
+  net_.RunUntilIdle();
+  EXPECT_EQ(Answers(net::MessageType::kSiteRetired, 2), 1u);
+  EXPECT_EQ(answers_.size(), 2u);
+  EXPECT_EQ(server_->stats().decode_errors, 1u);
+  EXPECT_EQ(server_->stats().site_retired_nacks_sent, 2u);
+  EXPECT_EQ(server_->stats().retired_reports_sent, 3u);
+}
+
+// -- Batched egress (PROTOCOL.md §9.2–9.3) -------------------------------------
+
+TEST_F(QueryServerTest, RefusedReportBatchTerminatesEveryClosedMember) {
+  QueryServerOptions options;
+  options.batch_window = 10 * kMillisecond;
+  Restart(options);
+  // Three queries reply to three sockets of one user-site host. 9001, the
+  // lowest port and so the batch's carrier, and 9002 are closed; only 9003
+  // listens.
+  std::vector<net::MessageType> types;
+  ASSERT_TRUE(net_.Listen({"user.site", 9003},
+                          [&](const net::Endpoint&, net::MessageType type,
+                              const std::vector<uint8_t>& payload) {
+                            types.push_back(type);
+                            KeepReports(type, payload);
+                          })
+                  .ok());
+  // Each clone evaluates /a and stages a forward to /b for the same flush.
+  for (uint16_t port : {9001, 9002, 9003}) {
+    query::WebQuery clone = MakeClone("L*1", "beta", {"http://h/a"});
+    clone.id.reply_port = port;
+    clone.id.query_number = port;
+    ASSERT_TRUE(net_.Send({"user.site", 1}, {"h", kQueryServerPort},
+                          net::MessageType::kWebQuery, Body(clone))
+                    .ok());
+  }
+  net_.RunUntilIdle();
+
+  // The refused batch terminates the carrier's query, the resend to 9002
+  // is refused too, and the third member arrives alone as a kReport.
+  EXPECT_EQ(server_->stats().passive_terminations, 2u);
+  EXPECT_EQ(server_->stats().report_batches_sent, 0u);
+  EXPECT_EQ(types, (std::vector<net::MessageType>(
+                       2, net::MessageType::kReport)));
+  ASSERT_EQ(reports_.size(), 2u);
+  EXPECT_EQ(reports_[0].node_reports[0].node_url, "http://h/a");
+  EXPECT_EQ(reports_[1].node_reports[0].node_url, "http://h/b");
+  EXPECT_EQ(ReportedQueries(reports_), std::set<uint32_t>{9003});
+  // Only the live query's staged clone went on to /b.
+  EXPECT_EQ(server_->stats().clones_forwarded, 1u);
+  EXPECT_EQ(server_->stats().node_queries_evaluated, 4u);
+}
+
+/// Passes everything to `inner`, but fails each send to `host` with a
+/// transient IoError, the way a real TCP write can fail mid-stream.
+class FailSendsTo : public net::Transport {
+ public:
+  FailSendsTo(net::Transport* inner, std::string host)
+      : inner_(inner), host_(std::move(host)) {}
+  Status Listen(const net::Endpoint& endpoint,
+                net::MessageHandler handler) override {
+    return inner_->Listen(endpoint, std::move(handler));
+  }
+  void CloseListener(const net::Endpoint& endpoint) override {
+    inner_->CloseListener(endpoint);
+  }
+  Status Send(const net::Endpoint& from, const net::Endpoint& to,
+              net::MessageType type, std::vector<uint8_t> payload) override {
+    if (to.host == host_) return Status::IoError("connection reset");
+    return inner_->Send(from, to, type, std::move(payload));
+  }
+  uint64_t ScheduleAfter(SimDuration delay, std::function<void()> fn) override {
+    return inner_->ScheduleAfter(delay, std::move(fn));
+  }
+  bool CancelTimer(uint64_t id) override { return inner_->CancelTimer(id); }
+  bool SupportsTimers() const override { return inner_->SupportsTimers(); }
+
+ private:
+  net::Transport* inner_;
+  std::string host_;
+};
+
+TEST_F(QueryServerTest, TransientForwardErrorIsBookedAlikeBatchedOrNot) {
+  // /c links to a site whose writes fail with IoError, not refusal.
+  web::PageSpec c;
+  c.title = "gateway";
+  c.links = {{"http://far/x", "far away"}};
+  ASSERT_TRUE(web_.AddDocument("http://h/c", web::RenderHtml(c)).ok());
+  server_->Stop();
+  FailSendsTo failing(&net_, "far");
+  std::vector<QueryServerStats> booked;
+  for (const SimDuration window : {SimDuration{0}, 10 * kMillisecond}) {
+    QueryServerOptions options;
+    options.batch_window = window;
+    QueryServer server("h", &web_, &failing, options);
+    ASSERT_TRUE(server.Start().ok());
+    Deliver(MakeClone("G", "alpha", {"http://h/c"}));
+    booked.push_back(server.stats());
+    server.Stop();
+  }
+  // The forward is armed for retry (or lost to the deadline sweep) either
+  // way: both paths count it forwarded and name the send error.
+  for (const QueryServerStats& stats : booked) {
+    EXPECT_EQ(stats.forward_send_errors, 1u);
+    EXPECT_EQ(stats.clones_forwarded, 1u);
+    EXPECT_EQ(stats.undeliverable_forwards, 0u);
+  }
+}
+
+// -- Recovery (PROTOCOL.md §8) --------------------------------------------------
+
+TEST_F(QueryServerTest, RecoveredCloneOfTerminatedQueryStaysTerminated) {
+  MemoryPersistBackend backend{PersistFaultRules{}};
+  QueryServerOptions options;
+  options.persist.enabled = true;
+  options.persist.snapshot_every_clones = 0;
+  options.persist.wal_compact_bytes = 0;
+  options.admission.max_pending = 4;
+  options.admission.service_time = 1 * kSecond;
+  StartDurable(options, &backend);
+
+  // The clone is WAL-admitted and queued; the query is then terminated,
+  // and the server crashes before the clone drains.
+  const query::WebQuery clone = MakeClone("N", "alpha", {"http://h/a"});
+  ASSERT_TRUE(net_.Send({"user.site", 9000}, {"h", kQueryServerPort},
+                        net::MessageType::kWebQuery, Body(clone))
+                  .ok());
+  serialize::Encoder terminate;
+  clone.id.EncodeTo(&terminate);
+  ASSERT_TRUE(net_.Send({"user.site", 9000}, {"h", kQueryServerPort},
+                        net::MessageType::kTerminate, terminate.Release())
+                  .ok());
+  net_.ScheduleAfter(500 * kMillisecond, [this] { server_->Crash(); });
+  net_.RunUntilIdle();
+  EXPECT_EQ(server_->stats().active_terminations, 1u);
+
+  // Recovery re-enqueues the clone, but the replayed kQueryTerminated
+  // record keeps the query dead: the clone drains and is dropped.
+  ASSERT_TRUE(server_->Restart().ok());
+  EXPECT_EQ(server_->stats().recovered_clones, 1u);
+  net_.RunUntilIdle();
+  EXPECT_EQ(server_->stats().clones_received, 1u);
+  EXPECT_EQ(server_->stats().node_queries_evaluated, 0u);
+  EXPECT_TRUE(reports_.empty());
+}
+
+TEST_F(QueryServerTest, ShedCloneKeepsItsStagedReportAcrossACrash) {
+  MemoryPersistBackend backend{PersistFaultRules{}};
+  QueryServerOptions options;
+  options.batch_window = 100 * kMillisecond;
+  options.persist.enabled = true;
+  options.persist.snapshot_every_clones = 1;
+  options.persist.wal_compact_bytes = 0;
+  options.admission.max_pending = 1;
+  options.admission.service_time = 20 * kMillisecond;
+  StartDurable(options, &backend);
+  const auto send_at = [this](SimTime at, uint32_t number, SimTime deadline) {
+    query::WebQuery clone = MakeClone("N", "alpha", {"http://h/a"});
+    clone.id.query_number = number;
+    clone.budget.has_deadline = deadline != 0;
+    clone.budget.deadline = deadline;
+    net_.ScheduleAfter(at, [this, body = Body(clone)] {
+      ASSERT_TRUE(net_.Send({"user.site", 9000}, {"h", kQueryServerPort},
+                            net::MessageType::kWebQuery, body)
+                      .ok());
+    });
+  };
+  // Query 1 arrives at 20 ms and drains at 40 ms, staging its report for
+  // the flush at 140 ms. Query 2 queues at 50 ms; query 3 arrives at 60 ms
+  // with a later deadline and evicts it, so query 2's budget report is
+  // staged too. The crash at 100 ms comes before the flush.
+  send_at(0, 1, 0);
+  send_at(30 * kMillisecond, 2, 10 * kSecond);
+  send_at(40 * kMillisecond, 3, 20 * kSecond);
+  net_.ScheduleAfter(100 * kMillisecond, [this] { server_->Crash(); });
+  net_.RunUntilIdle();
+  EXPECT_EQ(server_->stats().clones_evicted, 1u);
+  EXPECT_TRUE(reports_.empty());
+  // The shed unit's completion waited for the flush like query 1's, so no
+  // snapshot covered a clone whose report was still staged.
+  EXPECT_EQ(server_->stats().snapshots_written, 0u);
+
+  // Every admission record survives: the restart answers all three
+  // queries.
+  ASSERT_TRUE(server_->Restart().ok());
+  net_.RunUntilIdle();
+  EXPECT_EQ(ReportedQueries(reports_), (std::set<uint32_t>{1, 2, 3}));
+}
+
+TEST(QueryServerRecoveryTest, BatchedWalServerReprocessesInlineAfterCrash) {
+  // The shared_durable shape: batching and a WAL, admission off. The start
+  // site crashes after processing the first clone and before its flush.
+  web::CampusScenario scenario = web::BuildCampusScenario();
+  core::EngineOptions options;
+  options.server.batch_window = 100 * kMillisecond;
+  options.server.persist.enabled = true;
+  options.server.persist.wal_enabled = true;
+  core::Engine reference_engine(&scenario.web, options);
+  auto reference = reference_engine.Run(scenario.disql);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(reference->completed);
+
+  core::Engine engine(&scenario.web, options);
+  const std::string host = html::ParseUrl(scenario.start_url)->host;
+  QueryServer* qs = engine.server_for(host);
+  ASSERT_NE(qs, nullptr);
+  engine.network().ScheduleAfter(60 * kMillisecond, [qs] { qs->Crash(); });
+  engine.network().ScheduleAfter(80 * kMillisecond,
+                                 [qs] { EXPECT_TRUE(qs->Restart().ok()); });
+  auto outcome = engine.Run(scenario.disql);
+  ASSERT_TRUE(outcome.ok());
+  const QueryServerStats stats = engine.AggregateServerStats();
+  EXPECT_EQ(stats.recovered_clones, 1u);
+  EXPECT_TRUE(outcome->completed);
+  EXPECT_FALSE(outcome->partial);
+  std::multiset<std::string> want;
+  std::multiset<std::string> got;
+  for (const auto& [results, keys] :
+       {std::pair(&reference->results, &want),
+        std::pair(&outcome->results, &got)}) {
+    for (const relational::ResultSet& rs : *results) {
+      for (const relational::Tuple& row : rs.rows) {
+        std::string key;
+        for (const relational::Value& v : row) key += v.ToString() + "|";
+        keys->insert(std::move(key));
+      }
+    }
+  }
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(got, want);
+}
+
+// -- The multiple-rewrite (§3.1.1) ---------------------------------------------
+
+TEST_F(QueryServerTest, SupersetArrivalRoutesOnlyTheRewrittenRemainder) {
+  std::vector<VisitEvent> visits;
+  server_->SetVisitObserver(
+      [&visits](const VisitEvent& event) { visits.push_back(event); });
+  // A*m·B with A = L, m = 1, B = ε: /a evaluates, then /b.
+  Deliver(MakeClone("L*1", "alpha", {"http://h/a"}));
+  ASSERT_EQ(visits.size(), 2u);
+  EXPECT_EQ(server_->stats().superset_rewrites, 0u);
+  const uint64_t evaluated = server_->stats().node_queries_evaluated;
+  const uint64_t built = server_->stats().db_constructions;
+  visits.clear();
+  reports_.clear();
+
+  // A*n·B with n = 2 covers it: /a processes only the difference
+  // L·L*1, which is not nullable, so it acts as a PureRouter.
+  Deliver(MakeClone("L*2", "alpha", {"http://h/a"}));
+  EXPECT_EQ(server_->stats().superset_rewrites, 1u);
+  ASSERT_EQ(visits.size(), 2u);
+  const VisitEvent& router = visits[0];
+  EXPECT_EQ(router.node_url, "http://h/a");
+  EXPECT_TRUE(router.received_state.rem_pre.Equals(P("L*2")));
+  EXPECT_TRUE(router.rewritten);
+  EXPECT_FALSE(router.evaluated);
+  EXPECT_FALSE(router.answered);
+  EXPECT_EQ(router.forward_count, 1u);
+  // The remainder it forwards is the rewrite derived by L: L*1 at /b.
+  ASSERT_EQ(reports_.size(), 2u);
+  const query::NodeReport& routed = reports_[0].node_reports[0];
+  EXPECT_TRUE(routed.result_sets.empty());
+  ASSERT_EQ(routed.next_entries.size(), 1u);
+  EXPECT_EQ(routed.next_entries[0].node_url, "http://h/b");
+  EXPECT_TRUE(routed.next_entries[0].state.rem_pre.Equals(P("L*1")));
+  EXPECT_EQ(visits[1].node_url, "http://h/b");
+  EXPECT_TRUE(visits[1].received_state.rem_pre.Equals(P("L*1")));
+  // Only /b evaluated and built a database this round.
+  EXPECT_EQ(server_->stats().node_queries_evaluated, evaluated + 1);
+  EXPECT_EQ(server_->stats().db_constructions, built + 1);
 }
 
 /// Every counter of `stats` as (name, value), in declaration order.
