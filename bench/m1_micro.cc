@@ -1,5 +1,6 @@
 // M1 — microbenchmarks of every substrate (google-benchmark): HTML parsing,
-// the per-node database constructor, node-query evaluation, PRE operations,
+// the per-node database constructor, node-query evaluation (in place and
+// over a built database), PRE operations,
 // DISQL compilation, clone (de)serialization, query-id keys and the
 // durability checksum. These are the per-hop costs every query-server pays.
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "serialize/framing.h"
 #include "server/db_constructor.h"
 #include "web/pagegen.h"
+#include "web/university.h"
 
 namespace webdis {
 namespace {
@@ -58,6 +60,36 @@ void BM_BuildNodeDatabase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildNodeDatabase);
+
+void BM_EvaluateInPlace(benchmark::State& state) {
+  // One evaluating visit of the campus workload's stage-2 node-query (hr
+  // rel-infons holding "convener") to a lab page that answers it: relations
+  // refilled in place, as the query server reads a page (Arg 1), or a
+  // BuildNodeDatabase of the page first (Arg 0). Execute follows either.
+  web::UniversityOptions options;
+  options.seed = 1;
+  options.departments = 1;
+  options.labs_per_department = 1;
+  const web::UniversityWeb uni = web::GenerateUniversityWeb(options);
+  const html::ParsedDocument& doc =
+      uni.web.Find(uni.conveners.at(0).first)->parsed;
+  auto compiled = disql::CompileDisql(uni.convener_disql);
+  const query::NodeQuery& nq = compiled->web_query.remaining_queries.at(1);
+  const bool in_place = state.range(0) != 0;
+  server::NodeRelations relations;
+  for (auto _ : state) {
+    if (in_place) {
+      relations.Visit(doc);
+      auto rs = relational::Execute(nq.select, relations.Fill(nq.select.from));
+      benchmark::DoNotOptimize(rs);
+    } else {
+      auto rs = relational::Execute(nq.select, server::BuildNodeDatabase(doc));
+      benchmark::DoNotOptimize(rs);
+    }
+  }
+  state.SetLabel(in_place ? "in place" : "BuildNodeDatabase");
+}
+BENCHMARK(BM_EvaluateInPlace)->Arg(1)->Arg(0);
 
 void BM_NodeQueryEval(benchmark::State& state) {
   const std::string html = MakePageHtml(8, 16);

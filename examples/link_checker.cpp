@@ -99,7 +99,7 @@ int main() {
       continue;
     }
     for (const webdis::relational::Tuple& row : rs.rows) {
-      referers[row[1].AsString()].insert(row[0].AsString());
+      referers[row[1].ToString()].insert(row[0].ToString());
     }
   }
   std::printf("gathered %zu distinct link targets from "

@@ -62,9 +62,9 @@ int main() {
       continue;
     }
     for (const webdis::relational::Tuple& row : rs.rows) {
-      const std::string& base = row[0].AsString();
-      const std::string& href = row[1].AsString();
-      const std::string& ltype = row[2].AsString();
+      const std::string base = row[0].ToString();
+      const std::string href = row[1].ToString();
+      const std::string_view ltype = row[2].AsString();
       if (ltype == "L" || ltype == "I") {
         local_edges[base].push_back(href);
       } else {

@@ -1,5 +1,5 @@
 // Plain (no fuzzer runtime) driver for the checked-in corpus: replays every
-// input under <corpus>/{wire,wal,snapshot,html}/ through the matching fuzz
+// input under <corpus>/{wire,wal,snapshot,html,eval}/ through the matching fuzz
 // dispatcher. Runs as the `fuzz_replay_test` ctest target, so tier-1 and
 // the ASan CI job exercise every golden-frame seed and every hardening
 // regression input on each build — a decoder crash or round-trip fixpoint
@@ -79,13 +79,15 @@ int main(int argc, char** argv) {
   const int wal = ReplayDir(root / "wal", webdis::fuzz::FuzzWalStream);
   const int snapshot = ReplayDir(root / "snapshot", webdis::fuzz::FuzzSnapshot);
   const int html = ReplayDir(root / "html", webdis::fuzz::FuzzHtml);
-  if (wire < 0 || wal < 0 || snapshot < 0 || html < 0) return 1;
-  if (wire + wal + snapshot + html == 0) {
+  const int eval = ReplayDir(root / "eval", webdis::fuzz::FuzzEval);
+  if (wire < 0 || wal < 0 || snapshot < 0 || html < 0 || eval < 0) return 1;
+  if (wire + wal + snapshot + html + eval == 0) {
     std::fprintf(stderr, "fuzz_replay: empty corpus at %s\n", argv[1]);
     return 1;  // a vanished corpus must not read as a green run
   }
   std::printf(
-      "fuzz_replay: %d wire, %d wal, %d snapshot, %d html inputs replayed\n",
-      wire, wal, snapshot, html);
+      "fuzz_replay: %d wire, %d wal, %d snapshot, %d html, %d eval inputs "
+      "replayed\n",
+      wire, wal, snapshot, html, eval);
   return 0;
 }

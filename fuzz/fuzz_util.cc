@@ -1,5 +1,6 @@
 #include "fuzz/fuzz_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -14,9 +15,12 @@
 #include "query/web_query.h"
 #include "serialize/encoder.h"
 #include "serialize/framing.h"
+#include "server/db_constructor.h"
 #include "server/http_server.h"
 #include "server/persist.h"
 #include "tests/html_reference.h"
+#include "web/synth.h"
+#include "web/university.h"
 
 namespace webdis::fuzz {
 namespace {
@@ -250,6 +254,48 @@ int FuzzHtml(const uint8_t* data, size_t size) {
   return 0;
 }
 
+int FuzzEval(const uint8_t* data, size_t size) {
+  serialize::Decoder dec(data, size);
+  std::string page;
+  query::NodeQuery nq;
+  if (!dec.GetString(&page).ok() ||
+      !query::NodeQuery::DecodeFrom(&dec, &nq).ok() ||
+      !dec.ExpectAtEnd("eval input").ok()) {
+    return 0;
+  }
+  static const html::Url kBase =
+      html::ParseUrl("http://host.example/dir/page").value();
+  const html::ParsedDocument doc = html::ParseDocument(kBase, page);
+  const relational::Database owned = server::BuildNodeDatabase(doc);
+  // The nested-loop join is the specification, not a bounded algorithm:
+  // skip cross products too large to enumerate per input.
+  size_t product = 1;
+  for (const relational::TableRef& ref : nq.select.from) {
+    const relational::Table* table = owned.Find(ref.relation);
+    product *= std::max<size_t>(1, table == nullptr ? 0 : table->num_rows());
+    if (product > 100000) return 0;
+  }
+  // One storage for every input, as a query server keeps one for all its
+  // visits: each input refills what the previous one left behind.
+  static server::NodeRelations relations;
+  relations.Visit(doc);
+  const auto in_place =
+      relational::Execute(nq.select, relations.Fill(nq.select.from));
+  const auto reference = relational::Execute(nq.select, owned);
+  Check(in_place.status() == reference.status(),
+        "in-place evaluation status must equal the owned database's");
+  if (!in_place.ok()) return 0;
+  Check(in_place->column_labels == reference->column_labels &&
+            in_place->rows == reference->rows,
+        "in-place evaluation rows must equal the owned database's");
+  for (const relational::Tuple& row : in_place->rows) {
+    for (const relational::Value& cell : row) {
+      Check(!cell.borrowed(), "result cells must own their bytes");
+    }
+  }
+  return 0;
+}
+
 // -- Seed + regression corpus ------------------------------------------------
 
 namespace {
@@ -285,6 +331,15 @@ std::vector<uint8_t> Encoded(const query::WebQuery& clone) {
   return enc.Release();
 }
 
+// An eval input: the page, then the node-query's wire bytes.
+std::vector<uint8_t> EvalInput(std::string_view page,
+                               const query::NodeQuery& nq) {
+  serialize::Encoder enc;
+  enc.PutString(page);
+  nq.EncodeTo(&enc);
+  return enc.Release();
+}
+
 // Hand-framed snapshot image: header + CRC over an arbitrary body, for
 // regression inputs whose *body* is malformed (the header must check out or
 // the body decoder is never reached).
@@ -303,7 +358,7 @@ std::vector<uint8_t> FrameSnapshotBody(const std::vector<uint8_t>& body) {
 int WriteSeedCorpus(const std::string& root) {
   namespace fs = std::filesystem;
   std::error_code ec;
-  for (const char* sub : {"wire", "wal", "snapshot", "html"}) {
+  for (const char* sub : {"wire", "wal", "snapshot", "html", "eval"}) {
     fs::create_directories(fs::path(root) / sub, ec);
     if (ec) return -1;
   }
@@ -579,6 +634,66 @@ int WriteSeedCorpus(const std::string& root) {
     put("html", name.c_str(),
         std::vector<uint8_t>(documents[i].begin(), documents[i].end()));
   }
+
+  // --- eval seeds: each benchmark page shape under each workload's
+  // node-queries, at reduced web size ---
+  web::SynthWebOptions wide;
+  wide.seed = 1;
+  wide.num_sites = 2;
+  wide.docs_per_site = 2;
+  wide.filler_paragraphs = 6;
+  wide.words_per_paragraph = 60;
+  wide.lazy_pages = true;
+  web::SynthWebOptions shared;
+  shared.seed = 1;
+  shared.num_sites = 2;
+  shared.docs_per_site = 2;
+  web::UniversityOptions campus;
+  campus.seed = 1;
+  campus.departments = 1;
+  campus.labs_per_department = 1;
+  const web::UniversityWeb uni = web::GenerateUniversityWeb(campus);
+  const std::string synth_url = web::SynthUrl(0, 0);
+  const std::vector<std::pair<const char*, std::string>> pages = {
+      {"wide", web::GenerateSynthWeb(wide).Find(synth_url)->raw_html},
+      {"shared", web::GenerateSynthWeb(shared).Find(synth_url)->raw_html},
+      {"campus", uni.web.Find(uni.conveners.at(0).first)->raw_html},
+  };
+  const std::string from =
+      "from document d such that \"" + synth_url + "\" (L|G)*3 d where ";
+  const std::vector<std::pair<const char*, std::string>> queries = {
+      {"wide", "select d.url, d.title " + from + "d.title contains \"alpha\""},
+      {"shared-a", "select d.url " + from + "d.title contains \"document\""},
+      {"shared-b", "select d.url " + from + "d.title contains \"on site\""},
+      {"shared-c", "select d.url " + from + "d.length > 321"},
+      {"campus", uni.convener_disql},
+  };
+  for (const auto& [query_name, disql] : queries) {
+    auto compiled = disql::CompileDisql(disql);
+    if (!compiled.ok()) return -1;
+    const std::vector<query::NodeQuery>& stages =
+        compiled->web_query.remaining_queries;
+    for (size_t k = 0; k < stages.size(); ++k) {
+      for (const auto& [page_name, page] : pages) {
+        const std::string name = StringPrintf(
+            "seed-%s-stage%zu-on-%s.bin", query_name, k + 1, page_name);
+        put("eval", name.c_str(), EvalInput(page, stages[k]));
+      }
+    }
+  }
+  // Rows that render alike when joined with a \x1e separator. They sort
+  // after the campus seeds, so their one-row RELINFON refill follows the
+  // wide page's many rows.
+  auto separator = disql::CompileDisql(
+      "select d.title, d.text, r.delimiter from document d such that "
+      "\"http://h/\" N d, relinfon r");
+  if (!separator.ok()) return -1;
+  const query::NodeQuery& title_text =
+      separator->web_query.remaining_queries[0];
+  put("eval", "seed-separator-1.bin",
+      EvalInput("<title>A\x1e" "B</title><p>C</p>", title_text));
+  put("eval", "seed-separator-2.bin",
+      EvalInput("<title>A</title><p>B\x1e" "C</p>", title_text));
   return written;
 }
 

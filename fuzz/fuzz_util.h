@@ -22,20 +22,32 @@ namespace webdis::fuzz {
 /// (tests/html_reference.h) — HTML is untrusted, and the reference is the
 /// parser's specification.
 ///
-/// All four return 0 (the libFuzzer convention for "input consumed").
+/// FuzzEval reads a page's HTML (a length-prefixed string) followed by a
+/// node-query's wire bytes, and skips input that does not decode. It
+/// evaluates the node-query as a query server does, in place over
+/// relations refilled from the parsed page (server::NodeRelations, one
+/// storage for every input, as a server keeps one for every visit), and
+/// over the page's owned database (server::BuildNodeDatabase); statuses,
+/// labels and rows must be equal, and no result cell may borrow.
+///
+/// All five return 0 (the libFuzzer convention for "input consumed").
 int FuzzWireFrame(const uint8_t* data, size_t size);
 int FuzzWalStream(const uint8_t* data, size_t size);
 int FuzzSnapshot(const uint8_t* data, size_t size);
 int FuzzHtml(const uint8_t* data, size_t size);
+int FuzzEval(const uint8_t* data, size_t size);
 
-/// Writes the mechanical seed corpus under `root`/{wire,wal,snapshot,html}:
+/// Writes the mechanical seed corpus under
+/// `root`/{wire,wal,snapshot,html,eval}:
 /// one well-formed input per wire message type / WAL record type / snapshot
 /// image (mirroring the golden objects in tests/wire_golden_test.cc and
 /// tests/persist_golden_test.cc), plus the checked-in regression entries —
 /// one malformed input per decoder hardening fix, kept so the bug class
 /// stays covered by plain ctest replay forever — and one HTML document per
-/// parser edge case (html::reference::EdgeCaseDocuments). Returns the number
-/// of files written, or -1 on I/O failure.
+/// parser edge case (html::reference::EdgeCaseDocuments), and one eval
+/// input per benchmark page shape and workload node-query, plus pages whose
+/// rows hold the bytes a separator-joined row key would confuse. Returns
+/// the number of files written, or -1 on I/O failure.
 int WriteSeedCorpus(const std::string& root);
 
 }  // namespace webdis::fuzz

@@ -141,14 +141,9 @@ Result<DataShippingOutcome> DataShippingEngine::Execute(
       outcome.results.push_back(std::move(fresh));
       target = &outcome.results.back();
     }
-    const std::string signature = Join(rs.column_labels, "\x1f");
+    const relational::RowIdentity identity(rs.column_labels);
     for (const relational::Tuple& row : rs.rows) {
-      std::string key = signature;
-      for (const relational::Value& v : row) {
-        key += '\x1e';
-        key += v.ToString();
-      }
-      if (seen_rows.insert(std::move(key)).second) {
+      if (seen_rows.insert(identity.Key(row)).second) {
         target->rows.push_back(row);
       }
     }

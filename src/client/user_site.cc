@@ -509,7 +509,7 @@ void UserSite::HandleReport(QueryRun* run,
 }
 
 void UserSite::MergeResults(QueryRun* run, const relational::ResultSet& rs) {
-  const std::string signature = Join(rs.column_labels, "\x1f");
+  const relational::RowIdentity identity(rs.column_labels);
   relational::ResultSet* target = nullptr;
   for (relational::ResultSet& existing : run->results) {
     if (existing.column_labels == rs.column_labels) {
@@ -525,12 +525,7 @@ void UserSite::MergeResults(QueryRun* run, const relational::ResultSet& rs) {
   }
   for (const relational::Tuple& row : rs.rows) {
     ++run->stats.result_rows_received;
-    std::string key = signature;
-    for (const relational::Value& v : row) {
-      key += '\x1e';
-      key += v.ToString();
-    }
-    if (!run->seen_rows.insert(std::move(key)).second) {
+    if (!run->seen_rows.insert(identity.Key(row)).second) {
       // Duplicate rows reach the user when recomputation suppression is
       // disabled ("the same set of results will be received multiple times
       // and these will have to be filtered", Section 3.1).

@@ -176,7 +176,7 @@ class UserSite {
     std::vector<query::ChtEntry> fallback_nodes;
     /// Ack-tree mode: tokens of StartNode clones not yet acked.
     std::set<uint64_t> outstanding_root_acks;
-    /// Row filter: label signature + row rendering of every row merged so
+    /// Row filter: the relational::RowIdentity key of every row merged so
     /// far. Freed with the run.
     std::set<std::string> seen_rows;
 

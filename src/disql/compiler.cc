@@ -1,5 +1,6 @@
 #include "disql/compiler.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -56,6 +57,24 @@ Status CheckExprColumns(const Expr* expr,
     WEBDIS_RETURN_IF_ERROR(CheckExprColumns(expr->right(), aliases));
   }
   return Status::OK();
+}
+
+/// Appends the conjuncts of `expr`'s AND-tree to *out, in source order.
+void CollectConjuncts(const Expr* expr, std::vector<const Expr*>* out) {
+  if (expr == nullptr) return;
+  if (expr->kind() == relational::ExprKind::kAnd) {
+    CollectConjuncts(expr->left(), out);
+    CollectConjuncts(expr->right(), out);
+    return;
+  }
+  out->push_back(expr);
+}
+
+/// Whether `expr` scans a string for a substring (`contains`) anywhere.
+bool ScansText(const Expr* expr) {
+  if (expr == nullptr) return false;
+  if (expr->kind() == relational::ExprKind::kContains) return true;
+  return ScansText(expr->left()) || ScansText(expr->right());
 }
 
 }  // namespace
@@ -145,14 +164,25 @@ Result<CompiledQuery> Compile(const ParsedQuery& parsed) {
     nq.doc_alias = step.doc_alias;
     nq.select.from.push_back(
         {std::string(relational::kDocumentRelation), step.doc_alias});
-    ExprPtr where = step.where == nullptr ? nullptr : step.where->Clone();
+    // The step's where clause and its aux such-that conditions form one
+    // conjunction, cheap conjuncts first: the evaluator tests a row's
+    // conjuncts in order and stops at the first false one, so a substring
+    // scan runs only on rows the comparisons keep. Source order holds
+    // otherwise. Every column is checked below, so no conjunct can fail to
+    // evaluate and the order moves no error.
+    std::vector<const Expr*> conjuncts;
+    CollectConjuncts(step.where.get(), &conjuncts);
     for (const AuxDecl& aux : step.aux) {
       nq.select.from.push_back({aux.relation, aux.alias});
-      if (aux.such_that != nullptr) {
-        where = (where == nullptr)
-                    ? aux.such_that->Clone()
-                    : Expr::And(std::move(where), aux.such_that->Clone());
-      }
+      CollectConjuncts(aux.such_that.get(), &conjuncts);
+    }
+    std::stable_partition(conjuncts.begin(), conjuncts.end(),
+                          [](const Expr* e) { return !ScansText(e); });
+    ExprPtr where;
+    for (const Expr* conjunct : conjuncts) {
+      where = where == nullptr
+                  ? conjunct->Clone()
+                  : Expr::And(std::move(where), conjunct->Clone());
     }
     WEBDIS_RETURN_IF_ERROR(CheckExprColumns(where.get(), local_aliases));
     nq.select.where = std::move(where);

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/strings.h"
+#include "serialize/encoder.h"
 
 namespace webdis::relational {
 
@@ -109,7 +110,9 @@ class BoundSelect {
     return Truthy(*v);
   }
 
-  /// Appends the projection of the current rows: the only cells copied.
+  /// Appends the projection of the current rows: the only cells copied,
+  /// each into a value that owns its bytes, so results outlive relations
+  /// whose cells borrow.
   Status Project(const Tuple* const* rows, std::vector<Tuple>* out) const {
     Tuple projected;
     projected.reserve(projection_.size());
@@ -118,7 +121,7 @@ class BoundSelect {
       const Value* v = nullptr;
       WEBDIS_ASSIGN_OR_RETURN(
           v, Cell(projection_[i], col.alias, col.column, rows));
-      projected.push_back(*v);
+      projected.push_back(v->Owned());
     }
     out->push_back(std::move(projected));
     return Status::OK();
@@ -343,6 +346,21 @@ Result<ResultSet> Execute(const SelectQuery& query, const Database& db) {
       EnumerateRows(bound, tables, residual, 0, rows.data(), &out));
   if (query.distinct && out.rows.size() > 1) DropDuplicateRows(&out.rows);
   return out;
+}
+
+RowIdentity::RowIdentity(const std::vector<std::string>& column_labels) {
+  serialize::Encoder enc;
+  enc.PutVarint(column_labels.size());
+  for (const std::string& label : column_labels) enc.PutString(label);
+  labels_.assign(reinterpret_cast<const char*>(enc.data().data()), enc.size());
+}
+
+std::string RowIdentity::Key(const Tuple& row) const {
+  serialize::Encoder enc;
+  for (const Value& cell : row) cell.EncodeTo(&enc);
+  std::string key = labels_;
+  key.append(reinterpret_cast<const char*>(enc.data().data()), enc.size());
+  return key;
 }
 
 }  // namespace webdis::relational

@@ -57,8 +57,24 @@ struct ResultSet {
 /// the relations `query.from` names. Errors on unknown relations and
 /// duplicate aliases up front; an unbound alias or unknown column fails
 /// only when a row evaluates it (so over empty tables it never does).
-/// Cells are read in place; only projected output cells are copied.
+/// Cells are read in place; only projected output cells are copied, each
+/// into a value that owns its bytes, so no result row borrows from `db`.
 Result<ResultSet> Execute(const SelectQuery& query, const Database& db);
+
+/// Row identity for duplicate-row filters. A key is the wire encoding of the
+/// column labels and then of each cell (Value::EncodeTo: a type tag plus
+/// length-prefixed bytes), so two distinct rows never share a key, whatever
+/// bytes their strings hold.
+class RowIdentity {
+ public:
+  explicit RowIdentity(const std::vector<std::string>& column_labels);
+
+  /// The key of `row` under these labels.
+  std::string Key(const Tuple& row) const;
+
+ private:
+  std::string labels_;  // the encoded labels every key starts with
+};
 
 }  // namespace webdis::relational
 

@@ -101,7 +101,7 @@ std::string Expr::ToString() const {
   switch (kind_) {
     case ExprKind::kLiteral:
       if (literal_.type() == ValueType::kString) {
-        return "\"" + literal_.AsString() + "\"";
+        return "\"" + std::string(literal_.AsString()) + "\"";
       }
       return literal_.ToString();
     case ExprKind::kColumnRef:

@@ -31,8 +31,18 @@ Status Table::Insert(Tuple tuple) {
   return Status::OK();
 }
 
-void Database::Put(std::string name, Table table) {
-  tables_.insert_or_assign(std::move(name), std::move(table));
+std::span<Tuple> Table::ResizeRows(size_t rows) {
+  const size_t kept = rows_.size();
+  rows_.resize(rows);
+  for (size_t i = kept; i < rows; ++i) {
+    rows_[i].resize(schema_.num_columns());
+  }
+  return rows_;
+}
+
+Table* Database::Put(std::string name, Table table) {
+  return &tables_.insert_or_assign(std::move(name), std::move(table))
+              .first->second;
 }
 
 const Table* Database::Find(std::string_view name) const {

@@ -2,6 +2,7 @@
 #define WEBDIS_RELATIONAL_TABLE_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,8 +40,9 @@ class Schema {
 using Tuple = std::vector<Value>;
 
 /// In-memory relation. This is the materialization target of the paper's
-/// "temporary in-memory database of virtual relations" that a query server
-/// builds per document and purges after the node-query (Section 2.4).
+/// "temporary in-memory database of virtual relations" (Section 2.4): built
+/// whole by BuildNodeDatabase, or refilled in place for each visit by a
+/// query server (ResizeRows).
 class Table {
  public:
   Table() = default;
@@ -57,10 +59,12 @@ class Table {
   /// Reserves room for `rows` rows.
   void Reserve(size_t rows) { rows_.reserve(rows); }
 
-  /// Drops all rows (the "purge" of Section 2.4).
-  void Clear() { rows_.clear(); }
+  /// Refill in place: keeps `rows` rows of schema arity, reusing the rows
+  /// that remain, and returns them for the caller to assign every cell of.
+  /// Unlike Insert, nothing is validated.
+  std::span<Tuple> ResizeRows(size_t rows);
 
-  /// Rough in-memory footprint of rows + cells (for cache byte budgets).
+  /// Rough in-memory footprint of rows + cells.
   size_t ApproxBytes() const;
 
  private:
@@ -72,16 +76,16 @@ class Table {
 /// are lower case ("document", "anchor", "relinfon").
 class Database {
  public:
-  /// Adds (or replaces) a relation.
-  void Put(std::string name, Table table);
+  /// Adds (or replaces) a relation and returns it where it is stored, which
+  /// stays put until the relation is replaced or the database destroyed.
+  Table* Put(std::string name, Table table);
 
   /// Looks up a relation; nullptr if absent.
   const Table* Find(std::string_view name) const;
 
   std::vector<std::string> RelationNames() const;
 
-  /// Rough in-memory footprint of all relations — the unit the query
-  /// server's LRU database cache budgets against.
+  /// Rough in-memory footprint of all relations.
   size_t ApproxBytes() const;
 
  private:

@@ -23,15 +23,27 @@ std::string Value::ToString() const {
     case ValueType::kInt:
       return std::to_string(AsInt());
     case ValueType::kString:
-      return AsString();
+      return std::string(AsString());
   }
   return "?";
 }
 
 bool Value::SqlEquals(const Value& other) const {
   if (is_null() || other.is_null()) return false;
+  return *this == other;
+}
+
+bool Value::operator==(const Value& other) const {
   if (type() != other.type()) return false;
-  return data_ == other.data_;
+  switch (type()) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kInt:
+      return AsInt() == other.AsInt();
+    case ValueType::kString:
+      return AsString() == other.AsString();
+  }
+  return false;
 }
 
 int Value::Compare(const Value& other) const {

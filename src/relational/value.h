@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/status.h"
@@ -24,7 +25,9 @@ enum class ValueType : uint8_t {
 
 std::string_view ValueTypeToString(ValueType t);
 
-/// A dynamically-typed cell value.
+/// A dynamically-typed cell value. A string cell either owns its bytes or
+/// borrows them (Borrow); the two forms compare, order, print and encode
+/// alike.
 class Value {
  public:
   /// Null value.
@@ -32,18 +35,35 @@ class Value {
   explicit Value(int64_t v) : data_(v) {}
   explicit Value(std::string v) : data_(std::move(v)) {}
   static Value Null() { return Value(); }
+  /// A string cell reading `s` in place. The bytes must outlive every read
+  /// of the cell and of its copies, which borrow too; Owned() copies them.
+  static Value Borrow(std::string_view s) {
+    Value v;
+    v.data_.emplace<std::string_view>(s);
+    return v;
+  }
 
   ValueType type() const {
-    if (std::holds_alternative<std::monostate>(data_)) return ValueType::kNull;
-    if (std::holds_alternative<int64_t>(data_)) return ValueType::kInt;
-    return ValueType::kString;
+    const size_t index = data_.index();
+    return index >= 2 ? ValueType::kString : static_cast<ValueType>(index);
   }
 
   bool is_null() const { return type() == ValueType::kNull; }
+  /// Whether this is a string cell that borrows its bytes.
+  bool borrowed() const {
+    return std::holds_alternative<std::string_view>(data_);
+  }
   /// Precondition: type() == kInt.
   int64_t AsInt() const { return std::get<int64_t>(data_); }
   /// Precondition: type() == kString.
-  const std::string& AsString() const { return std::get<std::string>(data_); }
+  std::string_view AsString() const {
+    if (const auto* s = std::get_if<std::string>(&data_)) return *s;
+    return std::get<std::string_view>(data_);
+  }
+  /// This value, with a borrowed string copied into one it owns.
+  Value Owned() const {
+    return borrowed() ? Value(std::string(AsString())) : *this;
+  }
 
   /// Display form: "NULL", integer digits, or the raw string.
   std::string ToString() const;
@@ -55,13 +75,14 @@ class Value {
   /// cross-type comparison orders by type id (deterministic, never errors).
   int Compare(const Value& other) const;
 
-  /// Exact structural equality (used by tests and containers).
-  bool operator==(const Value& other) const { return data_ == other.data_; }
+  /// Exact equality of type and content (used by tests and containers).
+  bool operator==(const Value& other) const;
 
   void EncodeTo(serialize::Encoder* enc) const;
   static Status DecodeFrom(serialize::Decoder* dec, Value* out);
 
-  /// Rough in-memory footprint, for cache byte budgets (not wire size).
+  /// Rough in-memory footprint, for cache byte budgets (not wire size). A
+  /// borrowed string counts nothing beyond the cell.
   size_t ApproxBytes() const {
     size_t bytes = sizeof(Value);
     if (const auto* s = std::get_if<std::string>(&data_)) {
@@ -71,7 +92,8 @@ class Value {
   }
 
  private:
-  std::variant<std::monostate, int64_t, std::string> data_;
+  // Alternative order matches ValueType, with the borrowed string last.
+  std::variant<std::monostate, int64_t, std::string, std::string_view> data_;
 };
 
 }  // namespace webdis::relational

@@ -27,68 +27,116 @@ void MustInsert(Table* table, Tuple tuple) {
   WEBDIS_CHECK(status.ok()) << status.ToString();
 }
 
-/// Builds the virtual relation `name` of `doc`, whose url key (carried by
-/// every row) is `url_key`. False for a name that is none of the three.
-bool BuildRelation(const html::ParsedDocument& doc, std::string_view name,
-                   const std::string& url_key, Table* out) {
-  if (name == relational::kDocumentRelation) {
-    *out = Table(relational::DocumentSchema());
-    MustInsert(out, Row(Value(url_key), Value(doc.title), Value(doc.text),
-                        Value(static_cast<int64_t>(doc.length))));
-    return true;
+/// The ltype cell of each link type: static bytes a borrowed cell can read.
+std::string_view LinkTypeCell(html::LinkType t) {
+  switch (t) {
+    case html::LinkType::kInterior:
+      return "I";
+    case html::LinkType::kLocal:
+      return "L";
+    case html::LinkType::kGlobal:
+      return "G";
+    case html::LinkType::kNull:
+      return "N";
   }
-  if (name == relational::kAnchorRelation) {
-    *out = Table(relational::AnchorSchema());
-    out->Reserve(doc.anchors.size());
-    for (const html::ParsedAnchor& a : doc.anchors) {
-      const char ltype = html::LinkTypeSymbol(a.ltype);
-      MustInsert(out, Row(Value(a.label), Value(url_key),
-                          Value(a.resolved.ResourceKey()),
-                          Value(std::string(1, ltype))));
-    }
-    return true;
-  }
-  if (name == relational::kRelInfonRelation) {
-    *out = Table(relational::RelInfonSchema());
-    out->Reserve(doc.rel_infons.size());
-    for (const html::ParsedRelInfon& r : doc.rel_infons) {
-      MustInsert(out, Row(Value(r.delimiter), Value(url_key), Value(r.text),
-                          Value(static_cast<int64_t>(r.text.size()))));
-    }
-    return true;
-  }
-  return false;
+  return "?";
 }
+
+// Bits of NodeRelations::filled_.
+constexpr uint8_t kDocumentFilled = 1;
+constexpr uint8_t kAnchorFilled = 2;
+constexpr uint8_t kRelInfonFilled = 4;
 
 }  // namespace
 
 relational::Database BuildNodeDatabase(const html::ParsedDocument& doc) {
-  relational::Database db;
   const std::string url_key = doc.url.ResourceKey();
-  for (const std::string_view name :
-       {relational::kDocumentRelation, relational::kAnchorRelation,
-        relational::kRelInfonRelation}) {
-    Table table;
-    BuildRelation(doc, name, url_key, &table);
-    db.Put(std::string(name), std::move(table));
+  Table document(relational::DocumentSchema());
+  MustInsert(&document, Row(Value(url_key), Value(doc.title), Value(doc.text),
+                            Value(static_cast<int64_t>(doc.length))));
+  Table anchor(relational::AnchorSchema());
+  anchor.Reserve(doc.anchors.size());
+  for (const html::ParsedAnchor& a : doc.anchors) {
+    MustInsert(&anchor, Row(Value(a.label), Value(url_key),
+                            Value(a.resolved.ResourceKey()),
+                            Value(std::string(LinkTypeCell(a.ltype)))));
   }
+  Table relinfon(relational::RelInfonSchema());
+  relinfon.Reserve(doc.rel_infons.size());
+  for (const html::ParsedRelInfon& r : doc.rel_infons) {
+    MustInsert(&relinfon,
+               Row(Value(r.delimiter), Value(url_key), Value(r.text),
+                   Value(static_cast<int64_t>(r.text.size()))));
+  }
+  relational::Database db;
+  db.Put(std::string(relational::kDocumentRelation), std::move(document));
+  db.Put(std::string(relational::kAnchorRelation), std::move(anchor));
+  db.Put(std::string(relational::kRelInfonRelation), std::move(relinfon));
   return db;
 }
 
-size_t AddNodeRelations(const html::ParsedDocument& doc,
-                        const std::vector<relational::TableRef>& from,
-                        relational::Database* db) {
-  std::string url_key;  // computed for the first relation built
-  size_t added = 0;
+NodeRelations::NodeRelations()
+    : document_(db_.Put(std::string(relational::kDocumentRelation),
+                        Table(relational::DocumentSchema()))),
+      anchor_(db_.Put(std::string(relational::kAnchorRelation),
+                      Table(relational::AnchorSchema()))),
+      relinfon_(db_.Put(std::string(relational::kRelInfonRelation),
+                        Table(relational::RelInfonSchema()))) {}
+
+void NodeRelations::Visit(const html::ParsedDocument& doc) {
+  doc_ = &doc;
+  url_key_ = doc.url.ResourceKey();
+  filled_ = 0;
+}
+
+const relational::Database& NodeRelations::Fill(
+    const std::vector<relational::TableRef>& from) {
+  WEBDIS_CHECK(doc_ != nullptr) << "NodeRelations::Fill outside a visit";
   for (const relational::TableRef& ref : from) {
-    if (db->Find(ref.relation) != nullptr) continue;
-    if (url_key.empty()) url_key = doc.url.ResourceKey();
-    Table table;
-    if (!BuildRelation(doc, ref.relation, url_key, &table)) continue;
-    db->Put(ref.relation, std::move(table));
-    ++added;
+    if (ref.relation == relational::kDocumentRelation) {
+      if (!(filled_ & kDocumentFilled)) FillDocument();
+    } else if (ref.relation == relational::kAnchorRelation) {
+      if (!(filled_ & kAnchorFilled)) FillAnchors();
+    } else if (ref.relation == relational::kRelInfonRelation) {
+      if (!(filled_ & kRelInfonFilled)) FillRelInfons();
+    }
   }
-  return added;
+  return db_;
+}
+
+void NodeRelations::FillDocument() {
+  Tuple& row = document_->ResizeRows(1)[0];
+  row[0] = Value::Borrow(url_key_);
+  row[1] = Value::Borrow(doc_->title);
+  row[2] = Value::Borrow(doc_->text);
+  row[3] = Value(static_cast<int64_t>(doc_->length));
+  filled_ |= kDocumentFilled;
+}
+
+void NodeRelations::FillAnchors() {
+  const std::span<Tuple> rows = anchor_->ResizeRows(doc_->anchors.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const html::ParsedAnchor& a = doc_->anchors[i];
+    Tuple& row = rows[i];
+    row[0] = Value::Borrow(a.label);
+    row[1] = Value::Borrow(url_key_);
+    row[2] = Value(a.resolved.ResourceKey());  // computed, so owned
+    row[3] = Value::Borrow(LinkTypeCell(a.ltype));
+  }
+  filled_ |= kAnchorFilled;
+}
+
+void NodeRelations::FillRelInfons() {
+  const std::span<Tuple> rows = relinfon_->ResizeRows(doc_->rel_infons.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const html::ParsedRelInfon& r = doc_->rel_infons[i];
+    Tuple& row = rows[i];
+    row[0] = Value::Borrow(r.delimiter);
+    row[1] = Value::Borrow(url_key_);
+    row[2] = Value::Borrow(r.text);
+    row[3] = Value(static_cast<int64_t>(r.text.size()));
+  }
+  filled_ |= kRelInfonFilled;
 }
 
 }  // namespace webdis::server

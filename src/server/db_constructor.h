@@ -1,6 +1,8 @@
 #ifndef WEBDIS_SERVER_DB_CONSTRUCTOR_H_
 #define WEBDIS_SERVER_DB_CONSTRUCTOR_H_
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "html/parser.h"
@@ -14,21 +16,50 @@ namespace webdis::server {
 //   DOCUMENT(url, title, text, length)   — exactly one row
 //   ANCHOR(label, base, href, ltype)     — one row per hyperlink
 //   RELINFON(delimiter, url, text, length) — one row per rel-infon
-// The query server builds this before evaluating a node-query and purges it
-// afterwards (Section 2.4), unless database caching is enabled
-// (footnote 3 of the paper).
 
-/// Builds all three relations. The query server builds only what a
-/// node-query reads (AddNodeRelations); this full build is the data-shipping
-/// baseline's and the benchmarks' unit of work.
+/// Builds all three relations, every cell owning its bytes. The query server
+/// reads the visited page in place instead (NodeRelations); this full build
+/// is the data-shipping baseline's and the benchmarks' unit of work.
 relational::Database BuildNodeDatabase(const html::ParsedDocument& doc);
 
-/// Adds to `db` each virtual relation that `from` names and `db` does not
-/// hold yet. Other names are skipped: relational::Execute reports them as
-/// unknown relations. Returns how many relations were added.
-size_t AddNodeRelations(const html::ParsedDocument& doc,
-                        const std::vector<relational::TableRef>& from,
-                        relational::Database* db);
+/// The virtual relations of the page a query server is visiting, in storage
+/// the server keeps across visits: the paper's temporary database (§2.4)
+/// without a construction per visit. Each visit refills, in place, only the
+/// relations its node-queries name: rows are resized and cells reassigned.
+/// String cells borrow the page's parsed form (Value::Borrow), so the
+/// relations may be read only while that page lives and until the next
+/// Visit. relational::Execute owns every cell it projects, so its results
+/// outlive both.
+class NodeRelations {
+ public:
+  NodeRelations();
+  NodeRelations(const NodeRelations&) = delete;
+  NodeRelations& operator=(const NodeRelations&) = delete;
+
+  /// Starts a visit of `doc`, which must outlive every read until the next
+  /// Visit: no relation holds its rows yet.
+  void Visit(const html::ParsedDocument& doc);
+
+  /// Refills each relation `from` names that this visit has not filled yet
+  /// and returns the relations. Other names are skipped: relational::Execute
+  /// reports them as unknown relations.
+  const relational::Database& Fill(
+      const std::vector<relational::TableRef>& from);
+
+ private:
+  void FillDocument();
+  void FillAnchors();
+  void FillRelInfons();
+
+  const html::ParsedDocument* doc_ = nullptr;
+  std::string url_key_;  // the page's resource key, every row's url cell
+  uint8_t filled_ = 0;   // one bit per relation refilled this visit
+  relational::Database db_;
+  // The three relations of db_ (declared after it: set from its Puts).
+  relational::Table* document_;
+  relational::Table* anchor_;
+  relational::Table* relinfon_;
+};
 
 }  // namespace webdis::server
 

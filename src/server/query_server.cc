@@ -79,7 +79,6 @@ const QueryServerStats& QueryServer::stats() const {
   stats_.breaker_short_circuits = breakers_.stats().short_circuits;
   stats_.breaker_probes = breakers_.stats().probes;
   stats_.breaker_recoveries = breakers_.stats().recoveries;
-  stats_.db_cache_bytes = db_cache_bytes_;
   stats_.result_cache_bytes = result_cache_bytes_;
   return stats_;
 }
@@ -92,9 +91,6 @@ void QueryServer::Crash() {
   log_table_.Purge();
   terminated_queries_.clear();
   pending_acks_.clear();
-  db_cache_lru_.clear();
-  db_cache_index_.clear();
-  db_cache_bytes_ = 0;
   // The result cache is volatile by design (PROTOCOL.md §9.1): it is
   // recomputable, not protocol state, so it is rebuilt cold — never
   // snapshotted.
@@ -652,63 +648,6 @@ void QueryServer::RetireUnit(QueuedClone unit) {
   }
 }
 
-const relational::Database& QueryServer::NodeDatabase(
-    const web::WebGraph::Document& doc,
-    const std::vector<relational::TableRef>& from, VisitDatabase* visit) {
-  if (visit->db == nullptr) {
-    if (options_.cache_databases) {
-      // The version stamp keeps the cache honest against UpdateDocument: an
-      // edited page gets a fresh key, and the stale entry ages out via LRU.
-      const std::string key =
-          doc.url.ResourceKey() + "@" + std::to_string(doc.version);
-      auto it = db_cache_index_.find(key);
-      if (it != db_cache_index_.end()) {
-        ++stats_.db_cache_hits;
-        // Refresh recency: move the entry to the front of the LRU list.
-        db_cache_lru_.splice(db_cache_lru_.begin(), db_cache_lru_,
-                             it->second);
-      } else {
-        ++stats_.db_constructions;
-        CachedDatabase entry;
-        entry.key = key;
-        entry.bytes = entry.db.ApproxBytes();
-        db_cache_bytes_ += entry.bytes;
-        db_cache_lru_.push_front(std::move(entry));
-        db_cache_index_[key] = db_cache_lru_.begin();
-      }
-      visit->retained = &db_cache_lru_.front();
-      visit->db = &visit->retained->db;
-    } else {
-      ++stats_.db_constructions;
-      // Section 2.4: constructed per visit and purged afterwards — the
-      // scratch slot starts empty on the next visit that evaluates.
-      scratch_db_ = relational::Database();
-      visit->db = &scratch_db_;
-    }
-  }
-  if (AddNodeRelations(doc.parsed, from, visit->db) > 0 &&
-      visit->retained != nullptr) {
-    CachedDatabase& entry = *visit->retained;
-    db_cache_bytes_ -= entry.bytes;
-    entry.bytes = entry.db.ApproxBytes();
-    db_cache_bytes_ += entry.bytes;
-    // Evict from the cold end until the budget holds. The entry in use is
-    // the most recently used and is never evicted, even when it alone
-    // exceeds the budget.
-    if (options_.db_cache_max_bytes > 0) {
-      while (db_cache_bytes_ > options_.db_cache_max_bytes &&
-             db_cache_lru_.size() > 1) {
-        CachedDatabase& victim = db_cache_lru_.back();
-        db_cache_bytes_ -= victim.bytes;
-        ++stats_.db_cache_evictions;
-        db_cache_index_.erase(victim.key);
-        db_cache_lru_.pop_back();
-      }
-    }
-  }
-  return *visit->db;
-}
-
 std::string QueryServer::ResultCacheKey(const web::WebGraph::Document& doc,
                                         const query::NodeQuery& nq) {
   // The node-query's wire encoding IS its canonical form: two clones of
@@ -752,9 +691,9 @@ void QueryServer::ResultCacheInsert(std::string key,
       result_cache_lru_.begin();
   if (options_.result_cache_max_bytes > 0) {
     // Evict cold entries until the budget holds; the just-inserted entry
-    // survives even when it alone exceeds the budget (mirrors the DB
-    // cache's rule — the caller holds no reference here, but evicting the
-    // newest entry would make a one-entry cache thrash forever).
+    // survives even when it alone exceeds the budget (the caller holds no
+    // reference here, but evicting the newest entry would make a one-entry
+    // cache thrash forever).
     while (result_cache_bytes_ > options_.result_cache_max_bytes &&
            result_cache_lru_.size() > 1) {
       CachedResult& victim = result_cache_lru_.back();
@@ -768,7 +707,7 @@ void QueryServer::ResultCacheInsert(std::string key,
 
 bool QueryServer::EvaluateNodeQuery(const query::NodeQuery& nq,
                                     const web::WebGraph::Document& doc,
-                                    VisitDatabase* visit,
+                                    bool* relations_started,
                                     relational::ResultSet* out) {
   std::string key;
   if (options_.share_results) {
@@ -780,8 +719,13 @@ bool QueryServer::EvaluateNodeQuery(const query::NodeQuery& nq,
     }
     ++stats_.result_cache_misses;
   }
-  auto result = relational::Execute(
-      nq.select, NodeDatabase(doc, nq.select.from, visit));
+  if (!*relations_started) {
+    ++stats_.db_constructions;
+    node_relations_.Visit(doc.parsed);
+    *relations_started = true;
+  }
+  auto result = relational::Execute(nq.select,
+                                    node_relations_.Fill(nq.select.from));
   if (!result.ok()) {
     WEBDIS_LOG(kWarning) << host_ << ": node-query failed on "
                          << doc.url.ResourceKey() << ": "
@@ -795,7 +739,7 @@ bool QueryServer::EvaluateNodeQuery(const query::NodeQuery& nq,
 
 void QueryServer::ProcessStage(const query::WebQuery& clone,
                                const web::WebGraph::Document& doc,
-                               VisitDatabase* visit, size_t stage,
+                               bool* relations_started, size_t stage,
                                const pre::Pre& rem,
                                query::NodeReport* report,
                                std::vector<Forward>* forwards) {
@@ -806,7 +750,7 @@ void QueryServer::ProcessStage(const query::WebQuery& clone,
     ++stats_.node_queries_evaluated;
     const query::NodeQuery& nq = clone.remaining_queries[stage];
     relational::ResultSet rows;
-    if (!EvaluateNodeQuery(nq, doc, visit, &rows)) {
+    if (!EvaluateNodeQuery(nq, doc, relations_started, &rows)) {
       // Evaluation error: logged inside, nothing to report or advance.
     } else if (!rows.rows.empty()) {
       ++stats_.answers_found;
@@ -815,8 +759,8 @@ void QueryServer::ProcessStage(const query::WebQuery& clone,
       // from nodes that answered (Figure 1's node 7 rule).
       if (stage + 1 < clone.remaining_queries.size()) {
         const pre::Pre& next_pre = clone.future_pres[stage];
-        ProcessStage(clone, doc, visit, stage + 1, next_pre, report,
-                     forwards);
+        ProcessStage(clone, doc, relations_started, stage + 1, next_pre,
+                     report, forwards);
       }
     } else {
       ++stats_.dead_ends;
@@ -891,10 +835,10 @@ void QueryServer::ProcessNode(const query::WebQuery& clone,
   report->doc_version = doc->version;
 
   ++stats_.nodes_processed;
-  VisitDatabase visit;
+  bool relations_started = false;
   const size_t forwards_before = forwards->size();
   const size_t results_before = report->result_sets.size();
-  ProcessStage(clone, *doc, &visit, 0, rem, report, forwards);
+  ProcessStage(clone, *doc, &relations_started, 0, rem, report, forwards);
 
   event.evaluated = rem.ContainsNull();
   event.answered = report->result_sets.size() > results_before;

@@ -19,6 +19,7 @@
 #include "query/web_query.h"
 #include "relational/eval.h"
 #include "relational/table.h"
+#include "server/db_constructor.h"
 #include "server/http_server.h"
 #include "server/log_table.h"
 #include "server/persist.h"
@@ -72,14 +73,6 @@ struct QueryServerOptions {
   /// One report message per incoming clone, covering all its destination
   /// nodes (§3.2(3)); off = one message per node.
   bool batch_reports = true;
-  /// Retain per-node databases instead of purging after each node-query
-  /// (footnote 3 of Section 2.4).
-  bool cache_databases = false;
-  /// Byte budget for the retained databases (0 = unbounded, the historical
-  /// behavior). When exceeded, least-recently-used entries are evicted —
-  /// a site hosting many documents no longer grows its cache without bound.
-  /// Sizes are Database::ApproxBytes() estimates.
-  uint64_t db_cache_max_bytes = 0;
   /// Cross-query result sharing (PROTOCOL.md §9.1): cache node-query
   /// results keyed on (document, document version, canonical node-query
   /// form) so each distinct node query is evaluated against a document once
@@ -316,23 +309,16 @@ class QueryServer {
   /// Cache key: "<resource key>@<version>|<canonical node-query bytes>".
   static std::string ResultCacheKey(const web::WebGraph::Document& doc,
                                     const query::NodeQuery& nq);
-  struct CachedDatabase;
-  /// The node database of one visit (paper §2.4), built on first need: a
-  /// PureRouter visit or a result-cache hit never builds one, and each
-  /// stage adds only the relations its node-query reads. `db` is
-  /// scratch_db_, or `retained->db` under cache_databases.
-  struct VisitDatabase {
-    relational::Database* db = nullptr;
-    CachedDatabase* retained = nullptr;
-  };
-  /// Evaluates one node-query against the visit's node database, through
-  /// the result cache when share_results is on; a miss builds what the
-  /// node-query reads first. Returns false on evaluation error. Hit or
-  /// miss, *out is byte-identical — the cache is a pure wall-clock
-  /// optimization.
+  /// Evaluates one node-query against the visited page's virtual relations
+  /// (paper §2.4), through the result cache when share_results is on. A
+  /// miss refills in place the relations the node-query reads; the visit's
+  /// first miss starts the visit's relations and sets *relations_started,
+  /// so a PureRouter visit or a result-cache hit reads none. Returns false
+  /// on evaluation error. Hit or miss, *out is byte-identical — the cache
+  /// is a pure wall-clock optimization.
   bool EvaluateNodeQuery(const query::NodeQuery& nq,
                          const web::WebGraph::Document& doc,
-                         VisitDatabase* visit, relational::ResultSet* out);
+                         bool* relations_started, relational::ResultSet* out);
   const relational::ResultSet* ResultCacheLookup(const std::string& key);
   void ResultCacheInsert(std::string key, const relational::ResultSet& rows);
   /// Arms the flush timer when anything is staged.
@@ -386,19 +372,10 @@ class QueryServer {
   void ProcessNode(const query::WebQuery& clone, const std::string& url,
                    query::NodeReport* report, std::vector<Forward>* forwards);
   void ProcessStage(const query::WebQuery& clone,
-                    const web::WebGraph::Document& doc, VisitDatabase* visit,
-                    size_t stage, const pre::Pre& rem,
-                    query::NodeReport* report,
+                    const web::WebGraph::Document& doc,
+                    bool* relations_started, size_t stage,
+                    const pre::Pre& rem, query::NodeReport* report,
                     std::vector<Forward>* forwards);
-
-  /// Returns the visit's node database holding every relation `from`
-  /// names. The first call of a visit takes the retained entry (a hit) or
-  /// starts one, or clears the scratch database (a construction); any
-  /// call adds the relations missing, re-counting a retained entry's bytes
-  /// against db_cache_max_bytes.
-  const relational::Database& NodeDatabase(
-      const web::WebGraph::Document& doc,
-      const std::vector<relational::TableRef>& from, VisitDatabase* visit);
 
   /// Sends (or, with batching live, stages) the clone's reports to its user
   /// site. Returns whether forwarding may proceed — forwarding after a
@@ -457,18 +434,9 @@ class QueryServer {
   std::set<std::string> terminated_queries_;  // by QueryId::Key()
   std::map<uint64_t, PendingAck> pending_acks_;  // by local token
   uint64_t next_ack_token_ = 1;
-  /// LRU database cache (front = most recently used), bounded by
-  /// options_.db_cache_max_bytes. The index maps resource key -> list node.
-  /// An entry holds the relations its document's node-queries have read.
-  struct CachedDatabase {
-    std::string key;
-    relational::Database db;
-    uint64_t bytes = 0;
-  };
-  std::list<CachedDatabase> db_cache_lru_;
-  std::map<std::string, std::list<CachedDatabase>::iterator> db_cache_index_;
-  uint64_t db_cache_bytes_ = 0;
-  relational::Database scratch_db_;  // non-cached visit database
+  /// The visited page's virtual relations, refilled in place by every
+  /// visit that evaluates; read only within that visit.
+  NodeRelations node_relations_;
   /// Cross-query result cache (PROTOCOL.md §9.1): LRU list (front = most
   /// recently used) + index, bounded by options_.result_cache_max_bytes.
   /// Keys embed the document version, so a stale entry is never *served*

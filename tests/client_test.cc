@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "client/cht.h"
 #include "serialize/encoder.h"
 #include "client/user_site.h"
@@ -356,6 +358,56 @@ TEST_F(UserSiteTest, ResultsDedupAcrossReports) {
       EXPECT_TRUE(seen.insert(key).second) << "duplicate row " << key;
     }
   }
+}
+
+/// Two pages whose (title, text) rows differ but render alike when joined
+/// with the \x1e separator: "A\x1eB" + "C" and "A" + "B\x1eC".
+web::WebGraph SeparatorPages() {
+  web::WebGraph web;
+  EXPECT_TRUE(web.AddDocument("http://h/1",
+                              "<title>A\x1e" "B</title><p>C</p>").ok());
+  EXPECT_TRUE(web.AddDocument("http://h/2",
+                              "<title>A</title><p>B\x1e" "C</p>").ok());
+  return web;
+}
+
+constexpr char kSeparatorQuery[] =
+    "select d.title, d.text from document d such that "
+    "(\"http://h/1\", \"http://h/2\") N d";
+
+/// The (title, text) rows of `results`, in order.
+std::vector<std::pair<std::string, std::string>> TitleTextRows(
+    const std::vector<relational::ResultSet>& results) {
+  std::vector<std::pair<std::string, std::string>> rows;
+  for (const relational::ResultSet& rs : results) {
+    for (const relational::Tuple& row : rs.rows) {
+      rows.emplace_back(row[0].ToString(), row[1].ToString());
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+const std::vector<std::pair<std::string, std::string>> kSeparatorRows = {
+    {"A", "B\x1e" "C"}, {"A\x1e" "B", "C"}};
+
+TEST_F(UserSiteTest, RowsThatRenderAlikeAreNotDuplicates) {
+  const web::WebGraph web = SeparatorPages();
+  core::Engine engine(&web);
+  auto outcome = engine.Run(kSeparatorQuery);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_TRUE(outcome->completed);
+  EXPECT_EQ(TitleTextRows(outcome->results), kSeparatorRows);
+  EXPECT_EQ(outcome->client_stats.duplicate_rows_filtered, 0u);
+}
+
+TEST(DataShippingTest, RowsThatRenderAlikeAreNotDuplicates) {
+  const web::WebGraph web = SeparatorPages();
+  auto compiled = disql::CompileDisql(kSeparatorQuery);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  auto baseline = core::RunDataShippingBaseline(web, compiled.value());
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  EXPECT_EQ(TitleTextRows(baseline->outcome.results), kSeparatorRows);
 }
 
 // -- Failure handling: CHT deadline GC and report receipt dedup ---------------

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "disql/ast.h"
 #include "disql/compiler.h"
 #include "disql/lexer.h"
+#include "query/node_query.h"
 #include "serialize/encoder.h"
 
 namespace webdis::disql {
@@ -296,6 +298,71 @@ TEST(CompilerTest, CompiledWebQuerySerializes) {
   EXPECT_TRUE(out.rem_pre.Equals(wq.rem_pre));
   EXPECT_EQ(out.remaining_queries[1].ToString(),
             wq.remaining_queries[1].ToString());
+}
+
+TEST(CompilerTest, CheapConjunctsComeFirst) {
+  // Example Query 2's second step: its where clause scans r.text, its
+  // such-that condition compares r.delimiter. The comparison goes first, so
+  // the scan runs only on hr rel-infons.
+  auto campus = CompileDisql(kExample2);
+  ASSERT_TRUE(campus.ok()) << campus.status().ToString();
+  EXPECT_EQ(campus->web_query.remaining_queries[1].select.where->ToString(),
+            "((r.delimiter = \"hr\") and (r.text contains \"convener\"))");
+
+  // The where clause's conjuncts, then the such-that conditions', form one
+  // left-deep conjunction. Every conjunct without a `contains` precedes
+  // every conjunct with one (an `or` holding a `contains` counts as one);
+  // source order holds otherwise.
+  auto mixed = CompileDisql(
+      "select d.url from document d such that \"http://a/\" N d,\n"
+      "    relinfon r such that r.text contains \"z\" and r.length < 40,\n"
+      "where d.title contains \"x\" and d.length > 3 and\n"
+      "    (d.text contains \"y\" or d.length < 9) and not d.url = \"u\"\n");
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  EXPECT_EQ(mixed->web_query.remaining_queries[0].select.where->ToString(),
+            "((((((d.length > 3) and (not (d.url = \"u\"))) and "
+            "(r.length < 40)) and (d.title contains \"x\")) and "
+            "((d.text contains \"y\") or (d.length < 9))) and "
+            "(r.text contains \"z\"))");
+}
+
+TEST(CompilerTest, SingleConjunctStepsCompileAsBefore) {
+  // Wire bytes of node-queries whose step has one conjunct or none, pinned
+  // from the compiler before it ordered conjuncts: the benchmark workloads'
+  // queries, Example Query 2's first step, and a such-that-only step.
+  const struct {
+    const char* disql;
+    const char* hex;
+  } kCases[] = {
+      {"select d.url, d.title from document d such that "
+       "\"http://site0.example/\" (L|G)*3 d where d.title contains \"alpha\"",
+       "01640108646f63756d656e7401640103010164057469746c65000205616c706861"
+       "0201640375726c0164057469746c6501"},
+      {"select d.url from document d such that \"http://site1.example/\" "
+       "(L|G)*3 d where d.length > 321",
+       "01640108646f63756d656e740164010204010164066c656e67746800014101000000"
+       "0000000101640375726c01"},
+      {"select d0.url from document d0 such that \"http://www.univ.edu/\" "
+       "G.L d0, where d0.title contains \"laborator\"",
+       "0264300108646f63756d656e74026430010301026430057469746c650002096c6162"
+       "6f7261746f72010264300375726c01"},
+      {"select a.href from document d such that \"http://h/\" N d, "
+       "anchor a such that a.ltype = \"G\"",
+       "01640208646f63756d656e74016406616e63686f720161010200010161056c747970"
+       "6500020147010161046872656601"},
+      {"select d.url from document d such that \"http://a/\" L d",
+       "01640108646f63756d656e740164000101640375726c01"},
+  };
+  for (const auto& c : kCases) {
+    auto compiled = CompileDisql(c.disql);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    ASSERT_EQ(compiled->web_query.remaining_queries.size(), 1u);
+    serialize::Encoder enc;
+    compiled->web_query.remaining_queries[0].EncodeTo(&enc);
+    std::string hex;
+    for (const uint8_t b : enc.data()) hex += StringPrintf("%02x", b);
+    EXPECT_EQ(hex, c.hex) << c.disql;
+  }
 }
 
 }  // namespace

@@ -364,7 +364,6 @@ TEST(EngineUniversityTest, RunStatsShowDatabasesBuiltOnlyWhereEvaluated) {
   EXPECT_GT(built, 0u) << stats;
   EXPECT_LT(built, nodes) << stats;
   EXPECT_LE(built, evaluated) << stats;
-  EXPECT_EQ(PrintedCounter(stats, "db_cache_hits"), 0u);  // not retained
 
   // With result sharing, a second run answers every evaluation from the
   // result cache: it visits as many nodes again and builds no database.

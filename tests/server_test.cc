@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "common/logging.h"
 #include "common/strings.h"
 #include "core/engine.h"
 #include "disql/compiler.h"
@@ -502,71 +503,6 @@ TEST_F(QueryServerTest, MalformedCloneCountedNotCrashed) {
   EXPECT_EQ(server_->stats().decode_errors, 1u);
 }
 
-TEST_F(QueryServerTest, DatabaseCachingCountsHits) {
-  QueryServerOptions options;
-  options.cache_databases = true;
-  options.dedup_enabled = false;  // force recomputation
-  server_->Stop();
-  server_ = std::make_unique<QueryServer>("h", &web_, &net_, options);
-  ASSERT_TRUE(server_->Start().ok());
-  const query::WebQuery clone = MakeClone("N", "alpha", {"http://h/a"});
-  Deliver(clone);
-  Deliver(clone.Clone());
-  EXPECT_EQ(server_->stats().db_constructions, 1u);
-  EXPECT_EQ(server_->stats().db_cache_hits, 1u);
-}
-
-TEST_F(QueryServerTest, DbCacheEvictsLeastRecentlyUsed) {
-  // A third, deliberately tiny page so A+C fits where A+B+C does not.
-  web::PageSpec c;
-  c.title = "c alpha";
-  ASSERT_TRUE(web_.AddDocument("http://h/c", web::RenderHtml(c)).ok());
-
-  QueryServerOptions options;
-  options.cache_databases = true;
-  options.dedup_enabled = false;
-
-  // Measurement pass with an unbounded cache: learn each node DB's cost.
-  server_->Stop();
-  server_ = std::make_unique<QueryServer>("h", &web_, &net_, options);
-  ASSERT_TRUE(server_->Start().ok());
-  Deliver(MakeClone("N", "alpha", {"http://h/a"}));
-  const uint64_t bytes_a = server_->stats().db_cache_bytes;
-  Deliver(MakeClone("N", "alpha", {"http://h/b"}));
-  const uint64_t bytes_ab = server_->stats().db_cache_bytes;
-  Deliver(MakeClone("N", "alpha", {"http://h/c"}));
-  const uint64_t bytes_abc = server_->stats().db_cache_bytes;
-  ASSERT_GT(bytes_a, 0u);
-  ASSERT_GT(bytes_ab, bytes_a);
-  ASSERT_GT(bytes_abc, bytes_ab);
-  // C strictly smaller than B, so evicting B alone brings A+B+C under A+B.
-  ASSERT_LT(bytes_abc - bytes_ab, bytes_ab - bytes_a);
-  EXPECT_EQ(server_->stats().db_cache_evictions, 0u);  // unbounded: never
-
-  // Bounded pass: budget holds exactly {A, B}.
-  options.db_cache_max_bytes = bytes_ab;
-  server_->Stop();
-  server_ = std::make_unique<QueryServer>("h", &web_, &net_, options);
-  ASSERT_TRUE(server_->Start().ok());
-  Deliver(MakeClone("N", "alpha", {"http://h/a"}));
-  Deliver(MakeClone("N", "alpha", {"http://h/b"}));
-  EXPECT_EQ(server_->stats().db_cache_evictions, 0u);
-  // Re-touching A moves it to the front: B is now least recently used.
-  Deliver(MakeClone("N", "alpha", {"http://h/a"}));
-  EXPECT_EQ(server_->stats().db_cache_hits, 1u);
-  // Inserting C exceeds the budget and must evict B — not A (recently
-  // touched) and not C (just inserted).
-  Deliver(MakeClone("N", "alpha", {"http://h/c"}));
-  EXPECT_EQ(server_->stats().db_cache_evictions, 1u);
-  EXPECT_EQ(server_->stats().db_cache_bytes, bytes_a + (bytes_abc - bytes_ab));
-  EXPECT_EQ(server_->stats().db_constructions, 3u);
-  Deliver(MakeClone("N", "alpha", {"http://h/a"}));  // hit: A survived
-  EXPECT_EQ(server_->stats().db_cache_hits, 2u);
-  EXPECT_EQ(server_->stats().db_constructions, 3u);
-  Deliver(MakeClone("N", "alpha", {"http://h/b"}));  // miss: B was the victim
-  EXPECT_EQ(server_->stats().db_constructions, 4u);
-}
-
 // -- Node databases are built on need (paper §2.4) ----------------------------
 
 TEST_F(QueryServerTest, PureRouterVisitBuildsNoDatabase) {
@@ -604,51 +540,161 @@ TEST_F(QueryServerTest, ResultCacheHitBuildsNoDatabase) {
   EXPECT_EQ(payloads_[1], payloads_[0]);
 }
 
-TEST_F(QueryServerTest, RetainedDatabaseGainsRelationInPlace) {
-  web::PageSpec c;
-  c.title = "lab alpha";
-  c.hr_blocks = {"The convener is Ada"};
-  ASSERT_TRUE(web_.AddDocument("http://h/c", web::RenderHtml(c)).ok());
-  const query::WebQuery clone = MakeConvenerClone("http://h/c");
+/// Each stage's rows of the convener clone on `page`, evaluated over the
+/// page's full, owned database.
+std::vector<relational::ResultSet> ExpectedConvenerRows(
+    const query::WebQuery& clone, const html::ParsedDocument& page) {
+  const relational::Database db = BuildNodeDatabase(page);
+  std::vector<relational::ResultSet> out;
+  for (const query::NodeQuery& nq : clone.remaining_queries) {
+    auto rows = relational::Execute(nq.select, db);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (rows.ok()) out.push_back(std::move(rows).value());
+  }
+  return out;
+}
+
+/// The rows of each result set of `report`.
+std::vector<std::vector<relational::Tuple>> RowsOf(
+    const query::NodeReport& report) {
+  std::vector<std::vector<relational::Tuple>> out;
+  for (const relational::ResultSet& rs : report.result_sets) {
+    out.push_back(rs.rows);
+  }
+  return out;
+}
+
+TEST_F(QueryServerTest, StagedRowsOutliveTheRefilledPage) {
+  // The server reads each visited page in place, through relations it
+  // refills for every visit. Here two pages' rows are staged for a batched
+  // report and kept in the result cache while the pages change under
+  // them: P loses a rel-infon and Q goes away before the flush. The flush
+  // must carry the rows as they were read, and the next visit of P must
+  // see P's new rows only, none left over from its earlier refill.
+  web::PageSpec p;
+  p.title = "lab alpha";
+  p.hr_blocks = {"The convener is Ada", "Convener Bea, deputy"};
+  ASSERT_TRUE(web_.AddDocument("http://h/p", web::RenderHtml(p)).ok());
+  web::PageSpec q;
+  q.title = "lab beta";
+  q.hr_blocks = {"Convener Cy"};
+  ASSERT_TRUE(web_.AddDocument("http://h/q", web::RenderHtml(q)).ok());
   QueryServerOptions options;
-  options.dedup_enabled = false;  // re-evaluate the same clone
-
-  // Purged per visit: both stages answer from one database.
+  options.share_results = true;
+  options.batch_window = 5 * kMillisecond;
+  options.dedup_enabled = false;  // let the last clone visit P again
   Restart(options);
-  Deliver(clone);
+
+  query::WebQuery clone = MakeConvenerClone("http://h/p");
+  clone.dest_urls = {"http://h/p", "http://h/q"};
+  const std::vector<relational::ResultSet> want_p =
+      ExpectedConvenerRows(clone, web_.Find("http://h/p")->parsed);
+  const std::vector<relational::ResultSet> want_q =
+      ExpectedConvenerRows(clone, web_.Find("http://h/q")->parsed);
+  ASSERT_EQ(want_p.size(), 2u);
+  ASSERT_EQ(want_p[1].rows.size(), 2u);
+  ASSERT_EQ(want_q.size(), 2u);
+  ASSERT_EQ(want_q[1].rows.size(), 1u);
+
+  serialize::Encoder enc;
+  clone.EncodeTo(&enc);
+  ASSERT_TRUE(net_.Send({"user.site", 9000}, {"h", kQueryServerPort},
+                        net::MessageType::kWebQuery, enc.Release())
+                  .ok());
+  ASSERT_TRUE(net_.RunOne());  // the delivery: both visits evaluate
+  EXPECT_EQ(server_->stats().node_queries_evaluated, 4u);
+  EXPECT_EQ(server_->stats().db_constructions, 2u);
+  EXPECT_EQ(server_->stats().result_cache_misses, 4u);
+  EXPECT_TRUE(reports_.empty());  // staged until the flush
+
+  p.hr_blocks = {"The convener is Ada"};
+  ASSERT_TRUE(web_.UpdateDocument("http://h/p", web::RenderHtml(p)).ok());
+  ASSERT_TRUE(web_.RemoveDocument("http://h/q").ok());
+  net_.RunUntilIdle();
   ASSERT_EQ(reports_.size(), 1u);
-  ASSERT_EQ(reports_[0].node_reports[0].result_sets.size(), 2u);
-  EXPECT_EQ(server_->stats().node_queries_evaluated, 2u);
-  EXPECT_EQ(server_->stats().db_constructions, 1u);
-  const std::vector<std::vector<uint8_t>> purged = payloads_;
+  ASSERT_EQ(reports_[0].node_reports.size(), 2u);
+  const query::NodeReport& at_p = reports_[0].node_reports[0];
+  const query::NodeReport& at_q = reports_[0].node_reports[1];
+  EXPECT_EQ(at_p.node_url, "http://h/p");
+  EXPECT_EQ(at_q.node_url, "http://h/q");
+  EXPECT_EQ(RowsOf(at_p), (std::vector<std::vector<relational::Tuple>>{
+                              want_p[0].rows, want_p[1].rows}));
+  EXPECT_EQ(RowsOf(at_q), (std::vector<std::vector<relational::Tuple>>{
+                              want_q[0].rows, want_q[1].rows}));
 
-  // Retained: stage 0 starts the entry with DOCUMENT, stage 1 extends it in
-  // place with RELINFON, and the budget counts the grown entry.
-  options.cache_databases = true;
-  Restart(options);
-  payloads_.clear();
-  Deliver(clone);
-  EXPECT_EQ(payloads_, purged);
-  EXPECT_EQ(server_->stats().db_constructions, 1u);
-  EXPECT_EQ(server_->stats().db_cache_hits, 0u);
-  const html::ParsedDocument& page = web_.Find("http://h/c")->parsed;
-  relational::Database document_only;
-  AddNodeRelations(page, {{"document", "d0"}}, &document_only);
-  relational::Database grown;
-  AddNodeRelations(page, {{"document", "d0"}}, &grown);
-  AddNodeRelations(page, {{"document", "d1"}, {"relinfon", "r"}}, &grown);
-  EXPECT_EQ(grown.RelationNames(),
-            (std::vector<std::string>{"document", "relinfon"}));
-  EXPECT_GT(grown.ApproxBytes(), document_only.ApproxBytes());
-  EXPECT_EQ(server_->stats().db_cache_bytes, grown.ApproxBytes());
+  // The edit bumped P's version, so the next visit misses the cache and
+  // refills from P's new page: one convener row, not two.
+  reports_.clear();
+  Deliver(MakeConvenerClone("http://h/p"));
+  const std::vector<relational::ResultSet> now_p =
+      ExpectedConvenerRows(clone, web_.Find("http://h/p")->parsed);
+  ASSERT_EQ(now_p[1].rows.size(), 1u);
+  ASSERT_EQ(reports_.size(), 1u);
+  EXPECT_EQ(RowsOf(reports_[0].node_reports[0]),
+            (std::vector<std::vector<relational::Tuple>>{now_p[0].rows,
+                                                         now_p[1].rows}));
+  EXPECT_EQ(server_->stats().result_cache_misses, 6u);
+  EXPECT_EQ(server_->stats().db_constructions, 3u);
+}
 
-  // The next visit finds the entry complete: a hit that builds nothing.
-  payloads_.clear();
-  Deliver(clone.Clone());
-  EXPECT_EQ(payloads_, purged);
-  EXPECT_EQ(server_->stats().db_cache_hits, 1u);
-  EXPECT_EQ(server_->stats().db_constructions, 1u);
-  EXPECT_EQ(server_->stats().db_cache_bytes, grown.ApproxBytes());
+/// Restores stderr logging when it goes out of scope.
+struct CapturedWarnings {
+  CapturedWarnings() {
+    SetLogSink([this](LogLevel level, const std::string& line) {
+      if (level >= LogLevel::kWarning) lines.push_back(line);
+    });
+  }
+  ~CapturedWarnings() { SetLogSink(nullptr); }
+  std::vector<std::string> lines;
+};
+
+TEST(NodeQueryErrorTest, FailedEvaluationIsLoggedReportsNoRowsAndRoutes) {
+  // A hand-built clone whose node-query names a relation no page has: the
+  // compiler never emits one, but a clone is outside input. Each
+  // evaluation fails, is logged, and reports no rows; it neither answers
+  // nor dead-ends, and the visit still forwards along rem(p), so the user
+  // site's CHT settles.
+  web::WebGraph web;
+  web::PageSpec a;
+  a.title = "start alpha";
+  a.links = {{"/b", "to b"}};
+  ASSERT_TRUE(web.AddDocument("http://h/a", web::RenderHtml(a)).ok());
+  web::PageSpec b;
+  b.title = "target alpha";
+  ASSERT_TRUE(web.AddDocument("http://h/b", web::RenderHtml(b)).ok());
+  auto compiled = disql::CompileDisql(
+      "select d.url from document d such that \"http://h/a\" L*1 d");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  compiled->web_query.remaining_queries[0].select.from.push_back(
+      {"nowhere", "x"});
+
+  CapturedWarnings warnings;
+  core::Engine engine(&web);
+  auto outcome = engine.RunCompiled(compiled.value());
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_TRUE(outcome->completed);
+  EXPECT_FALSE(outcome->partial);
+  EXPECT_FALSE(outcome->budget_exhausted);
+  EXPECT_TRUE(outcome->results.empty());
+  EXPECT_EQ(outcome->client_stats.result_rows_received, 0u);
+  EXPECT_GE(outcome->client_stats.reports_received, 2u);
+  const QueryServerStats& stats = outcome->server_stats;
+  EXPECT_EQ(stats.nodes_processed, 2u);
+  EXPECT_EQ(stats.node_queries_evaluated, 2u);
+  EXPECT_EQ(stats.answers_found, 0u);
+  EXPECT_EQ(stats.dead_ends, 0u);
+  EXPECT_EQ(stats.clones_forwarded, 1u);  // /a -> /b along L
+  ASSERT_EQ(warnings.lines.size(), 2u);
+  for (const char* url : {"http://h/a", "http://h/b"}) {
+    const std::string want = std::string("node-query failed on ") + url +
+                             ": NotFound: unknown relation 'nowhere'";
+    EXPECT_TRUE(std::any_of(
+        warnings.lines.begin(), warnings.lines.end(),
+        [&](const std::string& line) {
+          return line.find(want) != std::string::npos;
+        }))
+        << want;
+  }
 }
 
 // -- Cross-query result sharing (PROTOCOL.md §9.1) ---------------------------

@@ -91,7 +91,7 @@ TEST_P(OptionMatrixTest, AllRobustConfigurationsAgree) {
   options.server.dedup_enabled = bits & 1;
   options.server.batch_clones_per_site = bits & 2;
   options.server.batch_reports = bits & 4;
-  options.server.cache_databases = bits & 8;
+  options.server.share_results = bits & 8;
   options.client.cht_dedup = bits & 16;
   options.network.latency_jitter = 30 * kMillisecond;
 

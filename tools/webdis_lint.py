@@ -125,7 +125,7 @@ NAKED_NEW = re.compile(r"(?<![:\w])new\s+[A-Za-z_][\w:]*(\s*[<({[]|\s*[;,)])")
 # Classes whose handlers the parallel stepper may run concurrently with
 # other endpoints', and the audited per-endpoint-confined fields of each.
 # Trailing-underscore names only: nested helper structs (Forward, QueuedClone,
-# PendingAck, CachedDatabase, QueryRun, ...) follow the plain-member naming
+# PendingAck, CachedResult, QueryRun, ...) follow the plain-member naming
 # convention and are data, not endpoint state.
 CONFINEMENT_CLASSES = {
     os.path.join("src", "server", "query_server.h"): "QueryServer",
@@ -140,8 +140,10 @@ CONFINEMENT_ALLOWLIST = {
         # partition, handlers within a partition run sequentially).
         "stats_", "sender_", "receiver_", "breakers_", "pending_clones_",
         "drain_timer_", "log_table_", "terminated_queries_", "pending_acks_",
-        "next_ack_token_", "db_cache_lru_", "db_cache_index_",
-        "db_cache_bytes_", "scratch_db_", "started_",
+        "next_ack_token_", "started_",
+        # The visited page's relations: refilled and read only inside this
+        # server's own handlers, and only within the visit that filled them.
+        "node_relations_",
         # Durability (server/persist): the backend pointer is set before the
         # run starts; the WAL id counter and snapshot cadence counter are
         # mutated only inside this server's own message/timer handlers.
