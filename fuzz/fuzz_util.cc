@@ -122,15 +122,6 @@ bool CanonicalizeWalPayload(server::WalRecordType type,
   serialize::Decoder dec(payload);
   serialize::Encoder enc;
   switch (type) {
-    case server::WalRecordType::kCloneAdmitted: {
-      server::WalCloneAdmitted rec;
-      if (!server::WalCloneAdmitted::DecodeFrom(&dec, &rec).ok()) {
-        return false;
-      }
-      if (!dec.ExpectAtEnd("WAL clone-admitted record").ok()) return false;
-      rec.EncodeTo(&enc);
-      break;
-    }
     case server::WalRecordType::kCloneCompleted: {
       server::WalCloneCompleted rec;
       if (!server::WalCloneCompleted::DecodeFrom(&dec, &rec).ok()) {
@@ -517,12 +508,6 @@ int WriteSeedCorpus(const std::string& root) {
   };
   {
     serialize::Encoder enc;
-    server::WalCloneAdmitted{7, {"h", 1}, true, 3, clone.Clone()}.EncodeTo(
-        &enc);
-    append_record(server::WalRecordType::kCloneAdmitted, enc);
-  }
-  {
-    serialize::Encoder enc;
     server::WalCloneCompleted{7}.EncodeTo(&enc);
     append_record(server::WalRecordType::kCloneCompleted, enc);
   }
@@ -564,6 +549,21 @@ int WriteSeedCorpus(const std::string& root) {
     std::vector<uint8_t> damaged = wal_all;
     damaged[damaged.size() - 4] ^= 0x01;
     put("wal", "regress-batch-member-crc-damage.bin", damaged);
+  }
+  {
+    // A well-framed record of the retired type 1 (a single-clone admission
+    // whose payload was record id, sender, tracked, seq, clone): DecodeWal
+    // must reject it as an unknown type, never misread it as another one.
+    serialize::Encoder payload;
+    payload.PutU64(7);
+    payload.PutString("h");
+    payload.PutU16(1);
+    payload.PutBool(true);
+    payload.PutU64(3);
+    clone.EncodeTo(&payload);
+    put("wal", "regress-retired-clone-admitted.bin",
+        server::EncodeWalRecord(static_cast<server::WalRecordType>(1),
+                                payload.data()));
   }
   {
     // Valid record frame (CRC passes) whose payload claims 2000 batch

@@ -15,8 +15,6 @@ namespace webdis::server {
 
 const char* WalRecordTypeToString(WalRecordType type) {
   switch (type) {
-    case WalRecordType::kCloneAdmitted:
-      return "CloneAdmitted";
     case WalRecordType::kCloneCompleted:
       return "CloneCompleted";
     case WalRecordType::kTransferSeen:
@@ -30,29 +28,6 @@ const char* WalRecordTypeToString(WalRecordType type) {
 }
 
 // -- WAL record payloads -----------------------------------------------------
-
-void WalCloneAdmitted::EncodeFields(uint64_t record_id,
-                                    const net::Endpoint& from, bool tracked,
-                                    uint64_t seq,
-                                    const query::WebQuery& clone,
-                                    serialize::Encoder* enc) {
-  enc->PutU64(record_id);
-  enc->PutString(from.host);
-  enc->PutU16(from.port);
-  enc->PutBool(tracked);
-  enc->PutU64(seq);
-  clone.EncodeTo(enc);
-}
-
-Status WalCloneAdmitted::DecodeFrom(serialize::Decoder* dec,
-                                    WalCloneAdmitted* out) {
-  WEBDIS_RETURN_IF_ERROR(dec->GetU64(&out->record_id));
-  WEBDIS_RETURN_IF_ERROR(dec->GetString(&out->from.host));
-  WEBDIS_RETURN_IF_ERROR(dec->GetU16(&out->from.port));
-  WEBDIS_RETURN_IF_ERROR(dec->GetBool(&out->tracked));
-  WEBDIS_RETURN_IF_ERROR(dec->GetU64(&out->seq));
-  return query::WebQuery::DecodeFrom(dec, &out->clone);
-}
 
 void WalBatchAdmitted::EncodeFields(uint64_t first_record_id,
                                     const net::Endpoint& from, bool tracked,
@@ -147,9 +122,9 @@ WalReadResult DecodeWal(const std::vector<uint8_t>& bytes) {
     (void)dec.GetU8(&type);
     (void)dec.GetU32(&length);
     (void)dec.GetU32(&crc);
-    if (type < static_cast<uint8_t>(WalRecordType::kCloneAdmitted) ||
+    if (type < static_cast<uint8_t>(WalRecordType::kCloneCompleted) ||
         type > static_cast<uint8_t>(WalRecordType::kBatchAdmitted)) {
-      break;  // corrupt: unknown record type
+      break;  // corrupt, or the retired type 1: unknown record type
     }
     if (bytes.size() - pos - kRecordHeader < length) break;  // torn payload
     const uint8_t* payload = bytes.data() + pos + kRecordHeader;

@@ -60,10 +60,8 @@ constexpr uint32_t kMaxSnapshotLength = 256u * 1024u * 1024u;
 // tools/webdis_lint.py (wal-parity): every type must keep its codec pair,
 // golden byte image and PROTOCOL.md §8 entry in lockstep.
 enum class WalRecordType : uint8_t {
-  /// A clone transfer was admitted (queued or about to be processed). The
-  /// record is appended — and, under WalFsyncPolicy::kEveryAppend, synced —
-  /// before the transfer's delivery ack is sent.
-  kCloneAdmitted = 1,  // payload: struct server::WalCloneAdmitted
+  // 1 is retired: it was a single-clone admission record, which is now a
+  // one-member kBatchAdmitted. DecodeWal rejects it like any unknown type.
   /// The admitted clone with this record id finished terminal processing
   /// (evaluated, shed with reports, expired, or dropped as terminated);
   /// replay must not re-enqueue it.
@@ -76,10 +74,13 @@ enum class WalRecordType : uint8_t {
   /// The query was terminated (kTerminate received); a restarted server
   /// must not resurrect it from recovered clones.
   kQueryTerminated = 4,  // payload: struct server::WalQueryTerminated
-  /// A batched clone envelope (PROTOCOL.md §9.2) was admitted atomically:
-  /// one record covering every member, appended before the single batch
-  /// ack. Members take record ids first_record_id .. first_record_id+n-1,
-  /// so per-member kCloneCompleted records match individually on replay.
+  /// A clone transfer was admitted (queued or about to be processed)
+  /// atomically: one record covering every member — one for a kWebQuery,
+  /// all of a kCloneBatch (PROTOCOL.md §9.2) — appended, and under
+  /// WalFsyncPolicy::kEveryAppend synced, before the transfer's single
+  /// delivery ack. Members take record ids first_record_id ..
+  /// first_record_id+n-1, so per-member kCloneCompleted records match
+  /// individually on replay.
   kBatchAdmitted = 5,  // payload: struct server::WalBatchAdmitted
 };
 
@@ -87,35 +88,15 @@ const char* WalRecordTypeToString(WalRecordType type);
 
 // -- WAL record payloads -----------------------------------------------------
 
-/// Payload of WalRecordType::kCloneAdmitted.
-struct WalCloneAdmitted {
-  uint64_t record_id = 0;  // per-server, monotonically increasing
-  net::Endpoint from;      // sender, for the recovered dedup history
-  bool tracked = false;    // carried a delivery envelope
-  uint64_t seq = 0;        // transfer seq (meaningful iff tracked)
-  query::WebQuery clone;
-
-  void EncodeTo(serialize::Encoder* enc) const {
-    EncodeFields(record_id, from, tracked, seq, clone, enc);
-  }
-  /// Field-wise encoder so the hot path can log a clone it does not own
-  /// (query::WebQuery is deep-copy-only).
-  static void EncodeFields(uint64_t record_id, const net::Endpoint& from,
-                           bool tracked, uint64_t seq,
-                           const query::WebQuery& clone,
-                           serialize::Encoder* enc);
-  static Status DecodeFrom(serialize::Decoder* dec, WalCloneAdmitted* out);
-};
-
 /// Payload of WalRecordType::kBatchAdmitted. One atomic admission covering
-/// every member of a kCloneBatch transfer: member i owns record id
-/// `first_record_id + i`. The batch shares one delivery envelope, so one
+/// every member of a clone transfer: member i owns record id
+/// `first_record_id + i`. The members share one delivery envelope, so one
 /// (from, seq) pair covers the whole unit.
 struct WalBatchAdmitted {
-  uint64_t first_record_id = 0;
-  net::Endpoint from;
-  bool tracked = false;
-  uint64_t seq = 0;
+  uint64_t first_record_id = 0;  // per-server, monotonically increasing
+  net::Endpoint from;            // sender, for the recovered dedup history
+  bool tracked = false;          // carried a delivery envelope
+  uint64_t seq = 0;              // transfer seq (meaningful iff tracked)
   std::vector<query::WebQuery> clones;
 
   void EncodeTo(serialize::Encoder* enc) const {
@@ -131,7 +112,7 @@ struct WalBatchAdmitted {
 
 /// Payload of WalRecordType::kCloneCompleted.
 struct WalCloneCompleted {
-  uint64_t record_id = 0;  // the kCloneAdmitted record this completes
+  uint64_t record_id = 0;  // the admitted member this completes
 
   void EncodeTo(serialize::Encoder* enc) const;
   static Status DecodeFrom(serialize::Decoder* dec, WalCloneCompleted* out);
@@ -162,7 +143,7 @@ std::vector<uint8_t> EncodeWalRecord(WalRecordType type,
                                      const std::vector<uint8_t>& payload);
 
 struct WalRecord {
-  WalRecordType type = WalRecordType::kCloneAdmitted;
+  WalRecordType type = WalRecordType::kCloneCompleted;
   std::vector<uint8_t> payload;
 };
 

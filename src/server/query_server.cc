@@ -38,6 +38,11 @@ QueryServer::QueryServer(std::string host, const web::WebGraph* web,
       receiver_(transport,
                 options.retry.enabled && transport->SupportsTimers()),
       breakers_(options.breaker) {
+  // The admission queue drains one unit per service_time on the
+  // transport's timers: without them a queued clone would wait forever.
+  WEBDIS_CHECK(options_.admission.max_pending == 0 ||
+               transport->SupportsTimers())
+      << "admission control needs a transport with timers";
   // Delivery outcomes feed the forwarding-path circuit breaker: an ack is
   // evidence the peer server is healthy, exhaustion/refusal-on-retry that
   // it is not. Overload NACKs are neutral (the host answered). Only peer
@@ -150,14 +155,6 @@ void QueryServer::OnMessage(const net::Endpoint& from, net::MessageType type,
   switch (type) {
     case net::MessageType::kWebQuery:
     case net::MessageType::kCloneBatch: {
-      if (!retired_ && options_.admission.max_pending != 0) {
-        if (type == net::MessageType::kWebQuery) {
-          AdmitClone(from, payload);
-        } else {
-          AdmitBatch(from, payload);
-        }
-        return;
-      }
       const net::Endpoint self{host_, kQueryServerPort};
       QueuedClone unit;
       const TransferRead read = ReadTransfer(from, type, payload, &unit);
@@ -189,16 +186,17 @@ void QueryServer::OnMessage(const net::Endpoint& from, net::MessageType type,
         if (unit.tracked) (void)receiver_.AcceptSeq(self, from, unit.seq);
         return;
       }
+      if (options_.admission.max_pending != 0) {
+        Admit(std::move(unit));
+        return;
+      }
       // Ack-after-append (§8): the admission record must be on storage
       // before the ack, or a crash in the gap would lose an acked clone.
       // One record and one ack cover a whole batch (all-or-none, §9.2).
-      unit.wal_id =
-          type == net::MessageType::kWebQuery
-              ? PersistAdmit(from, unit.tracked, unit.seq, unit.clones.front())
-              : PersistAdmitBatch(from, unit.tracked, unit.seq, unit.clones);
+      unit.wal_id = PersistAdmitBatch(unit);
       // Cannot be a replay: ReadTransfer just checked.
       if (unit.tracked) (void)receiver_.AcceptSeq(self, from, unit.seq);
-      if (type == net::MessageType::kCloneBatch) {
+      if (unit.clones.size() > 1) {
         ++stats_.clone_batches_received;
         stats_.clone_batch_members_received += unit.clones.size();
       }
@@ -262,25 +260,30 @@ void QueryServer::OnMessage(const net::Endpoint& from, net::MessageType type,
 
 namespace {
 
-/// Deadline used for eviction ordering: absent means "never".
-SimTime EffectiveDeadline(const query::WebQuery& clone) {
-  return clone.budget.has_deadline ? clone.budget.deadline
-                                   : std::numeric_limits<SimTime>::max();
+/// Deadline used for eviction ordering: a unit's most urgent member's, and
+/// "never" for a unit whose members carry none.
+SimTime UnitDeadline(const std::vector<query::WebQuery>& clones) {
+  SimTime deadline = std::numeric_limits<SimTime>::max();
+  for (const query::WebQuery& clone : clones) {
+    if (clone.budget.has_deadline) {
+      deadline = std::min(deadline, clone.budget.deadline);
+    }
+  }
+  return deadline;
 }
 
-query::NodeReport MakeBudgetReport(std::string url, query::CloneState state) {
+/// A report naming a node degraded without a visit: budget-exceeded, or
+/// site-retired at a retired site (§10.2).
+query::NodeReport MakeDegradedReport(std::string url, query::CloneState state,
+                                     bool retired) {
   query::NodeReport nr;
   nr.node_url = std::move(url);
   nr.received_state = std::move(state);
-  nr.budget_exceeded = true;
-  return nr;
-}
-
-query::NodeReport MakeRetiredReport(std::string url, query::CloneState state) {
-  query::NodeReport nr;
-  nr.node_url = std::move(url);
-  nr.received_state = std::move(state);
-  nr.visibility = query::NodeReport::kVisibilitySiteRetired;
+  if (retired) {
+    nr.visibility = query::NodeReport::kVisibilitySiteRetired;
+  } else {
+    nr.budget_exceeded = true;
+  }
   return nr;
 }
 
@@ -347,181 +350,71 @@ size_t QueryServer::PendingMembers() const {
   return members;
 }
 
-void QueryServer::AdmitClone(const net::Endpoint& from,
-                             const std::vector<uint8_t>& payload) {
+void QueryServer::Admit(QueuedClone unit) {
   const net::Endpoint self{host_, kQueryServerPort};
-  QueuedClone entry;
-  entry.from = from;
-  entry.tracked = receiver_.enabled();
-  std::vector<uint8_t> inner;
-  const std::vector<uint8_t>* body = &payload;
-  if (entry.tracked) {
-    if (!net::ReliableReceiver::PeekSeq(payload, &entry.seq)) {
-      return;  // malformed envelope: drop (matches Accept)
-    }
-    if (receiver_.TestSeen(from, entry.seq)) {
-      // Retransmission of a committed transfer — its ack may have been
-      // lost. Re-ack; nothing to queue.
-      receiver_.SendAck(self, from, entry.seq);
-      return;
-    }
-    if (!net::ReliableReceiver::StripEnvelope(payload, &inner)) return;
-    body = &inner;
-  }
-  serialize::Decoder dec(*body);
-  query::WebQuery decoded;
-  Status decode_status = query::WebQuery::DecodeFrom(&dec, &decoded);
-  if (decode_status.ok()) decode_status = dec.ExpectAtEnd("clone payload");
-  if (const Status& status = decode_status; !status.ok()) {
-    ++stats_.decode_errors;
-    WEBDIS_LOG(kWarning) << host_ << ": bad clone: " << status.ToString();
-    // A malformed clone decodes no better on retransmission: commit (ack)
-    // the transfer so the sender stops. Log the dedup commit first (§8) so
-    // a post-restart retransmission is re-acked, not reprocessed.
-    if (entry.tracked) {
-      if (WalEnabled()) {
-        serialize::Encoder rec;
-        WalTransferSeen{from, entry.seq}.EncodeTo(&rec);
-        AppendWalRecord(WalRecordType::kTransferSeen, rec);
-      }
-      (void)receiver_.AcceptSeq(self, from, entry.seq);
-    }
-    return;
-  }
-  entry.clones.push_back(std::move(decoded));
-
-  if (PendingMembers() >= options_.admission.max_pending) {
-    // Overflow. Refinement first: evict the queued unit with the earliest
-    // deadline when it is strictly closer to death than the newcomer (it
-    // would likely expire in the queue anyway); otherwise reject-newest.
-    // A unit's deadline is its most-urgent member's.
-    size_t victim = pending_clones_.size();
-    if (options_.admission.evict_earliest_deadline) {
-      SimTime earliest = EffectiveDeadline(entry.clones.front());
-      for (size_t i = 0; i < pending_clones_.size(); ++i) {
-        SimTime d = std::numeric_limits<SimTime>::max();
-        for (const query::WebQuery& member : pending_clones_[i].clones) {
-          d = std::min(d, EffectiveDeadline(member));
-        }
-        if (d < earliest) {
-          earliest = d;
-          victim = i;
-        }
+  const size_t members = unit.clones.size();
+  const size_t capacity = options_.admission.max_pending;
+  const size_t queued = PendingMembers();
+  // Capacity counts members, and a unit is all-or-none: a partial accept
+  // under its one ack would silently lose the rest. An empty queue always
+  // admits, whatever the unit's size: without this exception a batch
+  // larger than max_pending could never be admitted and a tracked sender
+  // would NACK-retry it forever.
+  if (!pending_clones_.empty() && queued + members > capacity) {
+    // Overflow. Evict the queued unit with the earliest deadline (the first
+    // queued on a tie) when it is strictly closer to death than the
+    // newcomer (it would likely expire in the queue anyway) and evicting it
+    // lets the newcomer fit or empties the queue; otherwise reject the
+    // newcomer whole.
+    auto victim = pending_clones_.end();
+    SimTime earliest = UnitDeadline(unit.clones);
+    for (auto it = pending_clones_.begin(); it != pending_clones_.end();
+         ++it) {
+      const SimTime deadline = UnitDeadline(it->clones);
+      if (deadline < earliest) {
+        earliest = deadline;
+        victim = it;
       }
     }
-    if (victim < pending_clones_.size()) {
-      QueuedClone evicted = std::move(pending_clones_[victim]);
-      pending_clones_.erase(pending_clones_.begin() +
-                            static_cast<ptrdiff_t>(victim));
+    if (victim != pending_clones_.end() &&
+        (pending_clones_.size() == 1 ||
+         queued - victim->clones.size() + members <= capacity)) {
+      QueuedClone evicted = std::move(*victim);
+      pending_clones_.erase(victim);
       stats_.clones_evicted += evicted.clones.size();
       ShedClone(std::move(evicted));
-      // The newcomer takes the freed slot below.
     } else {
-      ++stats_.clones_shed;
-      if (entry.tracked) {
+      stats_.clones_shed += members;
+      if (members > 1) ++stats_.batches_shed;
+      if (unit.tracked) {
         // NACK: the sender moves the transfer to the overload backoff class
         // and retries once the queue has (hopefully) drained.
-        receiver_.SendOverloaded(self, from, entry.seq);
+        receiver_.SendOverloaded(self, unit.from, unit.seq);
         ++stats_.overload_nacks_sent;
       } else {
         // No retry layer to come back later — shedding silently would
         // strand the user site's CHT entries until deadline GC. Terminal
         // shed with explicit budget-exceeded reports instead.
-        ShedClone(std::move(entry));
+        ShedClone(std::move(unit));
       }
       return;
     }
   }
-  entry.wal_id = PersistAdmit(entry.from, entry.tracked, entry.seq,
-                              entry.clones.front());
-  if (entry.tracked && WalEnabled()) {
+  unit.wal_id = PersistAdmitBatch(unit);
+  if (unit.tracked && WalEnabled()) {
     // Durable queue: ack at admission, after the append above (§8). The
     // shed-after-ack hazard the deferred-acceptance API exists for is gone —
     // eviction shed is terminal-with-reports, and queue loss on crash is
-    // recovered from the WAL instead of from the sender's retries.
-    if (!receiver_.AcceptSeq(self, entry.from, entry.seq)) {
-      FinishWalClone(entry.wal_id);
-      return;  // raced with another copy of the same transfer
-    }
-    entry.acked = true;
+    // recovered from the WAL instead of from the sender's retries. Cannot
+    // be a replay: ReadTransfer just checked.
+    (void)receiver_.AcceptSeq(self, unit.from, unit.seq);
+    unit.acked = true;
   }
-  pending_clones_.push_back(std::move(entry));
-  stats_.queue_peak =
-      std::max<uint64_t>(stats_.queue_peak, PendingMembers());
-  ScheduleDrain();
-}
-
-void QueryServer::AdmitBatch(const net::Endpoint& from,
-                             const std::vector<uint8_t>& payload) {
-  const net::Endpoint self{host_, kQueryServerPort};
-  QueuedClone entry;
-  entry.from = from;
-  entry.tracked = receiver_.enabled();
-  std::vector<uint8_t> inner;
-  const std::vector<uint8_t>* body = &payload;
-  if (entry.tracked) {
-    if (!net::ReliableReceiver::PeekSeq(payload, &entry.seq)) return;
-    if (receiver_.TestSeen(from, entry.seq)) {
-      receiver_.SendAck(self, from, entry.seq);
-      return;
-    }
-    if (!net::ReliableReceiver::StripEnvelope(payload, &inner)) return;
-    body = &inner;
+  if (members > 1) {
+    ++stats_.clone_batches_received;
+    stats_.clone_batch_members_received += members;
   }
-  serialize::Decoder dec(*body);
-  query::CloneBatch batch;
-  Status decode_status = query::CloneBatch::DecodeFrom(&dec, &batch);
-  if (decode_status.ok()) {
-    decode_status = dec.ExpectAtEnd("clone-batch payload");
-  }
-  if (const Status& status = decode_status; !status.ok()) {
-    ++stats_.decode_errors;
-    WEBDIS_LOG(kWarning) << host_ << ": bad clone batch: "
-                         << status.ToString();
-    if (entry.tracked) {
-      if (WalEnabled()) {
-        serialize::Encoder rec;
-        WalTransferSeen{from, entry.seq}.EncodeTo(&rec);
-        AppendWalRecord(WalRecordType::kTransferSeen, rec);
-      }
-      (void)receiver_.AcceptSeq(self, from, entry.seq);
-    }
-    return;
-  }
-  entry.clones = std::move(batch.clones);
-
-  // Capacity is counted in members, and the batch is all-or-none: either
-  // every member fits or the whole unit is NACKed (tracked) / shed with
-  // explicit reports (untracked) — a partial accept under the batch's
-  // single ack would silently lose the rest. An empty queue always admits,
-  // whatever the batch size: without this exception a batch larger than
-  // max_pending could never be admitted and a tracked sender would NACK-
-  // retry it forever.
-  const size_t members = PendingMembers();
-  if (!pending_clones_.empty() &&
-      members + entry.clones.size() > options_.admission.max_pending) {
-    ++stats_.batches_shed;
-    stats_.clones_shed += entry.clones.size();
-    if (entry.tracked) {
-      receiver_.SendOverloaded(self, from, entry.seq);
-      ++stats_.overload_nacks_sent;
-    } else {
-      ShedClone(std::move(entry));
-    }
-    return;
-  }
-  entry.wal_id = PersistAdmitBatch(entry.from, entry.tracked, entry.seq,
-                                   entry.clones);
-  if (entry.tracked && WalEnabled()) {
-    if (!receiver_.AcceptSeq(self, entry.from, entry.seq)) {
-      FinishWalUnit(entry);
-      return;  // raced with another copy of the same transfer
-    }
-    entry.acked = true;
-  }
-  ++stats_.clone_batches_received;
-  stats_.clone_batch_members_received += entry.clones.size();
-  pending_clones_.push_back(std::move(entry));
+  pending_clones_.push_back(std::move(unit));
   stats_.queue_peak =
       std::max<uint64_t>(stats_.queue_peak, PendingMembers());
   ScheduleDrain();
@@ -529,12 +422,6 @@ void QueryServer::AdmitBatch(const net::Endpoint& from,
 
 void QueryServer::ScheduleDrain() {
   if (pending_clones_.empty() || drain_timer_ != 0) return;
-  if (!transport_->SupportsTimers()) {
-    // No timer queue to pace against: drain inline. Admission stays bounded
-    // (the queue never exceeds max_pending mid-burst) but is not paced.
-    while (!pending_clones_.empty()) DrainOne();
-    return;
-  }
   drain_timer_ =
       transport_->ScheduleAfter(options_.admission.service_time, [this] {
         drain_timer_ = 0;
@@ -562,37 +449,13 @@ void QueryServer::DrainOne() {
 }
 
 void QueryServer::ShedClone(QueuedClone shed) {
-  // Every path below is terminal for every member, so each member's
-  // kCloneCompleted record (when persisted) is due regardless of branch.
   const net::Endpoint self{host_, kQueryServerPort};
   if (shed.tracked && !shed.acked &&
       !receiver_.AcceptSeq(self, shed.from, shed.seq)) {
     FinishWalUnit(shed);
     return;  // replay of a committed transfer: already handled once
   }
-  for (size_t i = 0; i < shed.clones.size(); ++i) {
-    query::WebQuery& clone = shed.clones[i];
-    const uint64_t wal_id = shed.wal_id == 0 ? 0 : shed.wal_id + i;
-    if (terminated_queries_.contains(clone.id.Key())) {
-      FinishWalClone(wal_id);
-      continue;
-    }
-    if (clone.ack_mode) {
-      // Ack-tree baseline: a shed clone is a leaf — ack the parent so the
-      // tree still completes.
-      SendAck(net::Endpoint{clone.ack_parent_host, clone.ack_parent_port},
-              clone.ack_token);
-      FinishWalClone(wal_id);
-      continue;
-    }
-    std::vector<query::NodeReport> reports;
-    reports.reserve(clone.dest_urls.size());
-    for (const std::string& url : clone.dest_urls) {
-      reports.push_back(MakeBudgetReport(url, clone.State()));
-    }
-    (void)DispatchReports(clone, std::move(reports));
-    FinishWalClone(wal_id);
-  }
+  EndMembers(shed, /*retired=*/false);
 }
 
 void QueryServer::Retire() {
@@ -622,30 +485,36 @@ void QueryServer::RetireUnit(QueuedClone unit) {
     // reports would double-delete the nodes' CHT entries.
     receiver_.RestoreSeen(unit.from, unit.seq);
   }
+  EndMembers(unit, /*retired=*/true);
+}
+
+void QueryServer::EndMembers(const QueuedClone& unit, bool retired) {
+  // Every member ends here for good, so its kCloneCompleted record (when
+  // persisted) is due whatever it had left to settle.
   for (size_t i = 0; i < unit.clones.size(); ++i) {
-    query::WebQuery& clone = unit.clones[i];
-    const uint64_t wal_id = unit.wal_id == 0 ? 0 : unit.wal_id + i;
-    if (terminated_queries_.contains(clone.id.Key())) {
-      FinishWalClone(wal_id);
-      continue;
+    const query::WebQuery& clone = unit.clones[i];
+    if (!terminated_queries_.contains(clone.id.Key())) {
+      DegradeClone(clone, retired);
     }
-    if (clone.ack_mode) {
-      // Ack-tree baseline: a retired site is a leaf — ack the parent so
-      // the tree still completes.
-      SendAck(net::Endpoint{clone.ack_parent_host, clone.ack_parent_port},
-              clone.ack_token);
-      FinishWalClone(wal_id);
-      continue;
-    }
-    std::vector<query::NodeReport> reports;
-    reports.reserve(clone.dest_urls.size());
-    for (const std::string& url : clone.dest_urls) {
-      reports.push_back(MakeRetiredReport(url, clone.State()));
-    }
-    stats_.retired_reports_sent += reports.size();
-    (void)DispatchReports(clone, std::move(reports));
-    FinishWalClone(wal_id);
+    FinishWalClone(unit.wal_id == 0 ? 0 : unit.wal_id + i);
   }
+}
+
+void QueryServer::DegradeClone(const query::WebQuery& clone, bool retired) {
+  if (clone.ack_mode) {
+    // Ack-tree baseline: an unvisited clone is a leaf — ack the parent so
+    // the tree still completes.
+    SendAck(net::Endpoint{clone.ack_parent_host, clone.ack_parent_port},
+            clone.ack_token);
+    return;
+  }
+  std::vector<query::NodeReport> reports;
+  reports.reserve(clone.dest_urls.size());
+  for (const std::string& url : clone.dest_urls) {
+    reports.push_back(MakeDegradedReport(url, clone.State(), retired));
+  }
+  if (retired) stats_.retired_reports_sent += reports.size();
+  (void)DispatchReports(clone, std::move(reports));
 }
 
 std::string QueryServer::ResultCacheKey(const web::WebGraph::Document& doc,
@@ -1014,17 +883,7 @@ void QueryServer::ProcessClone(query::WebQuery clone) {
   const query::QueryBudget budget = clone.budget;
   if (budget.has_deadline && Now() > budget.deadline) {
     ++stats_.budget_expired_clones;
-    if (clone.ack_mode) {
-      SendAck(net::Endpoint{clone.ack_parent_host, clone.ack_parent_port},
-              clone.ack_token);
-      return;
-    }
-    std::vector<query::NodeReport> expired;
-    expired.reserve(clone.dest_urls.size());
-    for (const std::string& url : clone.dest_urls) {
-      expired.push_back(MakeBudgetReport(url, clone.State()));
-    }
-    (void)DispatchReports(clone, std::move(expired));
+    DegradeClone(clone, /*retired=*/false);
     return;
   }
 
@@ -1166,7 +1025,8 @@ void QueryServer::ProcessClone(query::WebQuery clone) {
       state.num_q =
           total_queries - static_cast<uint32_t>(out.queries_consumed);
       state.rem_pre = out.rem;
-      followup_reports.push_back(MakeBudgetReport(url, std::move(state)));
+      followup_reports.push_back(
+          MakeDegradedReport(url, std::move(state), /*retired=*/false));
     }
   }
   for (size_t out_index = 0; out_index < out_clones.size(); ++out_index) {
@@ -1253,31 +1113,16 @@ void QueryServer::AppendWalRecord(WalRecordType type,
   ++stats_.wal_records_appended;
 }
 
-uint64_t QueryServer::PersistAdmit(const net::Endpoint& from, bool tracked,
-                                   uint64_t seq,
-                                   const query::WebQuery& clone) {
-  if (!PersistEnabled()) return 0;
-  const uint64_t id = next_wal_id_++;
-  if (WalEnabled()) {
-    serialize::Encoder payload;
-    WalCloneAdmitted::EncodeFields(id, from, tracked, seq, clone, &payload);
-    AppendWalRecord(WalRecordType::kCloneAdmitted, payload);
-  }
-  return id;
-}
-
-uint64_t QueryServer::PersistAdmitBatch(
-    const net::Endpoint& from, bool tracked, uint64_t seq,
-    const std::vector<query::WebQuery>& clones) {
+uint64_t QueryServer::PersistAdmitBatch(const QueuedClone& unit) {
   if (!PersistEnabled()) return 0;
   const uint64_t first = next_wal_id_;
-  next_wal_id_ += clones.size();
+  next_wal_id_ += unit.clones.size();
   if (WalEnabled()) {
-    // One record covering every member, appended before the single batch
+    // One record covering every member, appended before the unit's single
     // ack (§9.2): all-or-none durability matches all-or-none admission.
     serialize::Encoder payload;
-    WalBatchAdmitted::EncodeFields(first, from, tracked, seq, clones,
-                                   &payload);
+    WalBatchAdmitted::EncodeFields(first, unit.from, unit.tracked, unit.seq,
+                                   unit.clones, &payload);
     AppendWalRecord(WalRecordType::kBatchAdmitted, payload);
   }
   return first;
@@ -1538,31 +1383,6 @@ void QueryServer::Recover() {
       for (const WalRecord& record : wal.records) {
         serialize::Decoder dec(record.payload);
         switch (record.type) {
-          case WalRecordType::kCloneAdmitted: {
-            WalCloneAdmitted admitted;
-            if (!WalCloneAdmitted::DecodeFrom(&dec, &admitted).ok() ||
-                !dec.ExpectAtEnd("WAL clone-admitted record").ok()) {
-              break;
-            }
-            max_wal_id = std::max(max_wal_id, admitted.record_id);
-            if (admitted.tracked) {
-              // The pre-crash life acked this transfer right after the
-              // append; restoring the receipt keeps post-restart
-              // retransmissions re-acked instead of reprocessed.
-              receiver_.RestoreSeen(admitted.from, admitted.seq);
-            }
-            if (admitted.record_id > state.last_wal_id) {
-              DurablePendingClone p;
-              p.record_id = admitted.record_id;
-              p.from = admitted.from;
-              p.tracked = admitted.tracked;
-              p.seq = admitted.seq;
-              p.clone = std::move(admitted.clone);
-              pending.emplace(p.record_id, std::move(p));
-            }
-            ++stats_.replayed_wal_records;
-            break;
-          }
           case WalRecordType::kCloneCompleted: {
             WalCloneCompleted completed;
             if (!WalCloneCompleted::DecodeFrom(&dec, &completed).ok() ||
@@ -1605,6 +1425,9 @@ void QueryServer::Recover() {
                 max_wal_id,
                 admitted.first_record_id + admitted.clones.size() - 1);
             if (admitted.tracked) {
+              // The pre-crash life acked this transfer right after the
+              // append; restoring the receipt keeps post-restart
+              // retransmissions re-acked instead of reprocessed.
               receiver_.RestoreSeen(admitted.from, admitted.seq);
             }
             for (size_t i = 0; i < admitted.clones.size(); ++i) {

@@ -34,17 +34,11 @@ struct AdmissionOptions {
   /// Maximum clones queued awaiting processing. 0 = admission control off
   /// (inline processing, the seed behavior).
   size_t max_pending = 0;
-  /// Per-clone service interval: the queue drains one clone per interval
+  /// Per-unit service interval: the queue drains one unit per interval
   /// through the transport's timer queue, which is what makes a server
   /// saturable in the first place (and deterministic under SimNetwork).
-  /// On transports without timers the queue drains inline.
+  /// Admission control requires a transport with timers.
   SimDuration service_time = 0;
-  /// Overflow policy refinement: before rejecting a newcomer, evict the
-  /// queued clone with the earliest deadline if that deadline is earlier
-  /// than the newcomer's — it is the clone most likely to be dead on
-  /// arrival anyway. Eviction is terminal: the evicted clone's nodes are
-  /// reported budget-exceeded so the CHT settles (no silent loss).
-  bool evict_earliest_deadline = true;
 };
 
 /// Feature toggles of the WEBDIS query server. Defaults are the paper's
@@ -233,23 +227,22 @@ class QueryServer {
     size_t origin_report = 0;
   };
 
-  /// One admitted transfer unit awaiting its service slot. `tracked`
-  /// transfers carry the delivery seq; their ack is deferred until the
-  /// dequeue commits (acking a unit that may still be shed would turn the
-  /// shed into silent loss — see ReliableReceiver's deferred-acceptance
-  /// API). A kWebQuery transfer holds exactly one member; a kCloneBatch
-  /// transfer holds all its members in ONE unit (PROTOCOL.md §9.2) — the
-  /// batch shares one seq/ack, so admission, eviction and shed are always
-  /// all-or-none across the members (a partial accept under one ack would
-  /// silently lose the rest).
+  /// One clone transfer unit: read, then admitted or processed inline.
+  /// `tracked` transfers carry the delivery seq; under admission control
+  /// without a WAL their ack is deferred until the dequeue commits (acking
+  /// a unit that may still be shed would turn the shed into silent loss —
+  /// see ReliableReceiver's deferred-acceptance API). A kWebQuery transfer
+  /// holds exactly one member; a kCloneBatch transfer holds all its members
+  /// in ONE unit (PROTOCOL.md §9.2) — the batch shares one seq/ack, so
+  /// admission, eviction and shed are always all-or-none across the
+  /// members (a partial accept under one ack would silently lose the rest).
   struct QueuedClone {
     net::Endpoint from;
     bool tracked = false;
     uint64_t seq = 0;
     std::vector<query::WebQuery> clones;
-    /// Durability (PROTOCOL.md §8): id of the kCloneAdmitted WAL record
-    /// covering a single clone, or the FIRST id of the kBatchAdmitted
-    /// record covering a batch — member i owns wal_id + i (ids are
+    /// Durability (PROTOCOL.md §8): the FIRST id of the kBatchAdmitted WAL
+    /// record covering the unit — member i owns wal_id + i (ids are
     /// contiguous). 0 = not persisted. With the unit durable the ack is
     /// safe to send at admission — `acked` records that, so dequeue and
     /// shed must not re-commit the transfer seq (AcceptSeq on a committed
@@ -267,34 +260,38 @@ class QueryServer {
     kUndecodable,  // counted and logged; unit->seq names a tracked one
     kUnit,         // unit->clones holds every member
   };
-  /// Reads a kWebQuery (a one-member unit) or kCloneBatch transfer outside
-  /// admission control. Peeks the delivery envelope without committing it:
-  /// the caller acks, re-acks or NACKs. Delivery dedup MUST precede all
-  /// protocol processing — a redelivered clone that reached the log table
-  /// would emit a second duplicate-drop report and unbalance the robust
-  /// CHT's add/delete counts.
+  /// Reads a kWebQuery (a one-member unit) or kCloneBatch transfer: the
+  /// only code that strips a clone transfer's delivery envelope. Peeks the
+  /// envelope without committing it: the caller acks, re-acks or NACKs.
+  /// Delivery dedup MUST precede all protocol processing — a redelivered
+  /// clone that reached the log table would emit a second duplicate-drop
+  /// report and unbalance the robust CHT's add/delete counts.
   TransferRead ReadTransfer(const net::Endpoint& from, net::MessageType type,
                             const std::vector<uint8_t>& payload,
                             QueuedClone* unit);
-  /// Admission control front door for kWebQuery (PROTOCOL.md §7.2).
-  void AdmitClone(const net::Endpoint& from,
-                  const std::vector<uint8_t>& payload);
-  /// Admission front door for kCloneBatch (PROTOCOL.md §9.2): the batch is
-  /// admitted or rejected as ONE unit — a shed batch NACKs every member.
-  void AdmitBatch(const net::Endpoint& from,
-                  const std::vector<uint8_t>& payload);
+  /// Admission control (PROTOCOL.md §7.2, §9.2): queues a freshly read
+  /// unit, evicting an earlier-deadline unit to make room, or rejects it
+  /// whole — a rejected unit is NACKed (tracked) or shed (untracked).
+  void Admit(QueuedClone unit);
   void ScheduleDrain();
   void DrainOne();
   /// Terminal shed: acks tracked transfers (so the sender stops), then
-  /// reports every destination node of every member budget-exceeded so the
-  /// CHT settles.
+  /// ends every member with budget-exceeded reports so the CHT settles.
   void ShedClone(QueuedClone shed);
   /// §10.2 terminal answer for one unit at a retired server: kSiteRetired
-  /// NACK for unacked tracked transfers, site-retired node reports for
-  /// every member so the CHT converts the participants into named degraded
-  /// outcomes, and the WAL completion records so recovery never replays
-  /// them.
+  /// NACK for unacked tracked transfers, then ends every member with
+  /// site-retired reports so the CHT converts the participants into named
+  /// degraded outcomes.
   void RetireUnit(QueuedClone unit);
+  /// Ends every member of a unit that will never be processed: a member of
+  /// a terminated query has nothing to settle, any other is degraded
+  /// (DegradeClone). Each member's WAL completion follows, so recovery
+  /// never replays it.
+  void EndMembers(const QueuedClone& unit, bool retired);
+  /// Settles a clone without visiting its nodes: an ack-tree clone acks its
+  /// parent (it is a leaf); any other reports every destination node
+  /// budget-exceeded, or site-retired when `retired`.
+  void DegradeClone(const query::WebQuery& clone, bool retired);
   /// Queued members across units (admission capacity counts members, not
   /// units — a 10-member batch occupies 10 slots).
   size_t PendingMembers() const;
@@ -337,18 +334,12 @@ class QueryServer {
   }
   /// Appends one framed record and applies the fsync policy.
   void AppendWalRecord(WalRecordType type, const serialize::Encoder& payload);
-  /// Assigns a record id to an admitted clone and (when the WAL is on)
-  /// logs it durably — the append that must precede the delivery ack.
-  /// Returns the record id, 0 when persistence is off.
-  uint64_t PersistAdmit(const net::Endpoint& from, bool tracked, uint64_t seq,
-                        const query::WebQuery& clone);
-  /// Batch form (PROTOCOL.md §9.2): assigns n contiguous record ids and
-  /// logs ONE kBatchAdmitted record covering every member — the single
-  /// append that must precede the single batch ack. Returns the first id,
-  /// 0 when persistence is off.
-  uint64_t PersistAdmitBatch(const net::Endpoint& from, bool tracked,
-                             uint64_t seq,
-                             const std::vector<query::WebQuery>& clones);
+  /// Assigns an admitted unit's n members contiguous record ids and (when
+  /// the WAL is on) logs ONE kBatchAdmitted record covering them — the
+  /// single append that must precede the unit's single delivery ack
+  /// (PROTOCOL.md §8.1, §9.2). Returns the first id, 0 when persistence is
+  /// off.
+  uint64_t PersistAdmitBatch(const QueuedClone& unit);
   /// FinishWalClone for every member id of one queued unit.
   void FinishWalUnit(const QueuedClone& unit);
   /// Marks an admitted clone terminally processed. With batching live its

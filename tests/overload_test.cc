@@ -478,7 +478,9 @@ TEST(BreakerTest, TripShortCircuitAndHalfOpenRecovery) {
 // under ANY mix of admission shedding, breaker trips, and server crashes —
 // with retries and deadline GC enabled — every query terminates, rows are
 // never duplicated, and degradation is always named (budget_exceeded_nodes /
-// unreachable_hosts / fallback), never silent.
+// unreachable_hosts / fallback), never silent. Every third schedule (seeds
+// 3, 6, ..., 24) also batches cross-query envelopes (§9.2), so batch units
+// meet admission, eviction and deadlines as well.
 
 TEST(OverloadScheduleTest, RandomizedOverloadSchedulesAlwaysDrainTheCht) {
   UniFixture f;
@@ -486,6 +488,8 @@ TEST(OverloadScheduleTest, RandomizedOverloadSchedulesAlwaysDrainTheCht) {
 
   uint64_t total_shed = 0;
   uint64_t total_trips = 0;
+  uint64_t batches_admitted = 0;
+  uint64_t batch_arm_evictions = 0;
   int degraded_runs = 0;
   int exact_runs = 0;
   for (uint64_t seed = 1; seed <= 24; ++seed) {
@@ -516,6 +520,17 @@ TEST(OverloadScheduleTest, RandomizedOverloadSchedulesAlwaysDrainTheCht) {
     }
     if (rng.Bernoulli(0.3)) {
       options.client.budget_max_hops = rng.UniformRange(2, 5);
+    }
+    // Every third schedule also batches cross-query envelopes (§9.2) into
+    // single-slot queues under a deadline, so batch units meet full queues
+    // and the eviction policy has deadlines to compare.
+    const bool batching = seed % 3 == 0;
+    if (batching) {
+      options.server.batch_window = 50 * kMillisecond;
+      options.server.admission.max_pending = 1;
+      if (options.client.budget_deadline == 0) {
+        options.client.budget_deadline = 4 * kSecond;
+      }
     }
     core::Engine engine(&f.uni.web, options);
 
@@ -551,6 +566,10 @@ TEST(OverloadScheduleTest, RandomizedOverloadSchedulesAlwaysDrainTheCht) {
     const server::QueryServerStats stats = engine.AggregateServerStats();
     total_shed += stats.clones_shed + stats.clones_evicted;
     total_trips += stats.breaker_trips;
+    if (batching) {
+      batches_admitted += stats.clone_batches_received;
+      batch_arm_evictions += stats.clones_evicted;
+    }
 
     for (const query::QueryId& id : ids) {
       core::RunOutcome outcome = engine.CollectOutcome(id, before);
@@ -588,6 +607,9 @@ TEST(OverloadScheduleTest, RandomizedOverloadSchedulesAlwaysDrainTheCht) {
   EXPECT_GT(total_trips, 0u);
   EXPECT_GT(exact_runs, 0);
   EXPECT_GT(degraded_runs, 0);
+  // The batching schedules admitted batch units and evicted some unit.
+  EXPECT_GT(batches_admitted, 0u);
+  EXPECT_GT(batch_arm_evictions, 0u);
 }
 
 }  // namespace

@@ -72,35 +72,6 @@ TEST(PersistGoldenTest, Crc32CheckValue) {
 
 // -- WAL record images -------------------------------------------------------
 
-TEST(PersistGoldenTest, CloneAdmittedImageIsStable) {
-  serialize::Encoder payload;
-  server::WalCloneAdmitted::EncodeFields(
-      /*record_id=*/1, net::Endpoint{"s", 2}, /*tracked=*/true, /*seq=*/9,
-      MinimalClone(), &payload);
-  const std::vector<uint8_t> record =
-      EncodeWalRecord(WalRecordType::kCloneAdmitted, payload.data());
-  EXPECT_EQ(Hex(record),
-            std::string("01"               /* type kCloneAdmitted */
-                        "47000000"         /* payload length 71+clone */
-                        "d693a435")        /* payload crc */
-                + "0100000000000000"       /* record_id 1 */
-                  "0173"                   /* from.host "s" */
-                  "0200"                   /* from.port 2 */
-                  "01"                     /* tracked */
-                  "0900000000000000"       /* seq 9 */
-                + kMinimalCloneHex);
-
-  // Round-trip through the decoder.
-  serialize::Decoder dec(payload.data());
-  server::WalCloneAdmitted out;
-  ASSERT_TRUE(server::WalCloneAdmitted::DecodeFrom(&dec, &out).ok());
-  EXPECT_EQ(out.record_id, 1u);
-  EXPECT_EQ(out.from, (net::Endpoint{"s", 2}));
-  EXPECT_TRUE(out.tracked);
-  EXPECT_EQ(out.seq, 9u);
-  EXPECT_EQ(out.clone.id.Key(), MinimalClone().id.Key());
-}
-
 TEST(PersistGoldenTest, CloneCompletedImageIsStable) {
   serialize::Encoder payload;
   server::WalCloneCompleted{0x0102030405060708ull}.EncodeTo(&payload);
@@ -260,15 +231,20 @@ TEST(PersistGoldenTest, DecodeWalRejectsCorruptPayload) {
 }
 
 TEST(PersistGoldenTest, DecodeWalRejectsUnknownRecordType) {
-  serialize::Encoder completed;
-  server::WalCloneCompleted{5}.EncodeTo(&completed);
-  std::vector<uint8_t> wal =
-      EncodeWalRecord(WalRecordType::kCloneCompleted, completed.data());
-  wal[0] = 0x77;  // not a declared WalRecordType
+  // 0x77 was never declared; 0x01 is the retired single-clone admission
+  // record, which replay must reject rather than misread.
+  for (const uint8_t type : {uint8_t{0x77}, uint8_t{0x01}}) {
+    SCOPED_TRACE("record type " + std::to_string(type));
+    serialize::Encoder completed;
+    server::WalCloneCompleted{5}.EncodeTo(&completed);
+    std::vector<uint8_t> wal =
+        EncodeWalRecord(WalRecordType::kCloneCompleted, completed.data());
+    wal[0] = type;  // a well-framed record of an undeclared type
 
-  const server::WalReadResult result = server::DecodeWal(wal);
-  EXPECT_TRUE(result.records.empty());
-  EXPECT_EQ(result.discarded_records, 1u);
+    const server::WalReadResult result = server::DecodeWal(wal);
+    EXPECT_TRUE(result.records.empty());
+    EXPECT_EQ(result.discarded_records, 1u);
+  }
 }
 
 // -- Snapshot images ---------------------------------------------------------

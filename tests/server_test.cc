@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "common/logging.h"
@@ -413,6 +414,41 @@ std::vector<uint8_t> Body(const query::CloneBatch& batch) {
 std::string Hex(const std::vector<uint8_t>& bytes) {
   std::string out;
   for (const uint8_t b : bytes) out += StringPrintf("%02x", b);
+  return out;
+}
+
+/// `clone` with a budget deadline at virtual time `deadline`.
+query::WebQuery WithDeadline(query::WebQuery clone, SimTime deadline) {
+  clone.budget.has_deadline = true;
+  clone.budget.deadline = deadline;
+  return clone;
+}
+
+/// A durable server under retry whose admission queue holds `capacity`
+/// members and serves one unit a second; nothing compacts its WAL.
+QueryServerOptions DurableAdmission(size_t capacity) {
+  QueryServerOptions options;
+  options.retry.enabled = true;
+  options.persist.enabled = true;
+  options.persist.snapshot_every_clones = 0;
+  options.persist.wal_compact_bytes = 0;
+  options.admission.max_pending = capacity;
+  options.admission.service_time = 1 * kSecond;
+  return options;
+}
+
+/// Every admission record in `backend`'s WAL, in log order.
+std::vector<WalBatchAdmitted> AdmissionRecords(MemoryPersistBackend* backend) {
+  auto wal = backend->ReadWal();
+  EXPECT_TRUE(wal.ok());
+  const WalReadResult read = DecodeWal(*wal);
+  EXPECT_EQ(read.discarded_records, 0u);
+  std::vector<WalBatchAdmitted> out;
+  for (const WalRecord& record : read.records) {
+    if (record.type != WalRecordType::kBatchAdmitted) continue;
+    serialize::Decoder dec(record.payload);
+    EXPECT_TRUE(WalBatchAdmitted::DecodeFrom(&dec, &out.emplace_back()).ok());
+  }
   return out;
 }
 
@@ -900,6 +936,10 @@ TEST_F(QueryServerTest, RecoveryStatsDistinguishThreeRestartPaths) {
   // a cold start: the cold_starts counter must not move.
   Deliver(MakeClone("N", "alpha", {"http://h/a"}));
   EXPECT_EQ(server_->stats().wal_records_appended, 2u);
+  // A lone clone is admitted as a one-member batch.
+  const std::vector<WalBatchAdmitted> admitted = AdmissionRecords(&backend);
+  ASSERT_EQ(admitted.size(), 1u);
+  EXPECT_EQ(admitted[0].clones.size(), 1u);
   server_->Crash();
   ASSERT_TRUE(server_->Restart().ok());
   EXPECT_EQ(server_->stats().cold_starts, 1u);  // unchanged
@@ -1315,6 +1355,171 @@ TEST_F(QueryServerTest, ShedCloneKeepsItsStagedReportAcrossACrash) {
   ASSERT_TRUE(server_->Restart().ok());
   net_.RunUntilIdle();
   EXPECT_EQ(ReportedQueries(reports_), (std::set<uint32_t>{1, 2, 3}));
+}
+
+// -- One admission path (PROTOCOL.md §7.2) -------------------------------------
+
+TEST_F(QueryServerTest, BatchEvictsAnEarlierDeadlineUnitToFit) {
+  const net::Endpoint peer{"peer", 1};
+  const net::Endpoint client{"client", 7000};
+  ListenAsPeer(peer);
+  ListenAsRetryingUserSite(client);
+  // Query 1 queues with a 5 s deadline, alone in a queue of one or beside
+  // query 2 in a queue of three. A two-member batch whose earliest deadline
+  // is 20 s overflows either queue: evicting query 1 empties the first and
+  // makes room in the second.
+  std::map<size_t, MemoryPersistBackend> backends;  // outlive their servers
+  for (const size_t capacity : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    StartDurable(DurableAdmission(capacity), &backends[capacity]);
+    answers_.clear();
+    reports_.clear();
+    SendTracked(peer, 1, net::MessageType::kWebQuery,
+                Body(WithDeadline(CloneTo(client, 1, {"http://h/a"}),
+                                  5 * kSecond)));
+    if (capacity == 3) {
+      SendTracked(peer, 2, net::MessageType::kWebQuery,
+                  Body(CloneTo(client, 2, {"http://h/b"})));
+    }
+    query::CloneBatch batch;
+    batch.clones.push_back(
+        WithDeadline(CloneTo(client, 3, {"http://h/a"}), 20 * kSecond));
+    batch.clones.push_back(
+        WithDeadline(CloneTo(client, 4, {"http://h/b"}), 30 * kSecond));
+    SendTracked(peer, 3, net::MessageType::kCloneBatch, Body(batch));
+    net_.RunUntilIdle();
+
+    EXPECT_EQ(server_->stats().clones_evicted, 1u);
+    EXPECT_EQ(server_->stats().clones_shed, 0u);
+    EXPECT_EQ(server_->stats().clone_batches_received, 1u);
+    // One ack and one admission record cover the batch.
+    EXPECT_EQ(Answers(net::MessageType::kDeliveryAck, 3), 1u);
+    EXPECT_EQ(Answers(net::MessageType::kOverloaded, 3), 0u);
+    const std::vector<WalBatchAdmitted> admitted =
+        AdmissionRecords(&backends[capacity]);
+    ASSERT_EQ(admitted.size(), capacity == 3 ? 3u : 2u);
+    EXPECT_EQ(admitted.back().seq, 3u);
+    ASSERT_EQ(admitted.back().clones.size(), 2u);
+    EXPECT_EQ(admitted.back().clones[0].id.query_number, 3u);
+    EXPECT_EQ(admitted.back().clones[1].id.query_number, 4u);
+    // The victim's node is reported budget-exceeded; the rest are served.
+    std::set<std::pair<uint32_t, std::string>> degraded;
+    std::set<std::pair<uint32_t, std::string>> visited;
+    for (const query::QueryReport& qr : reports_) {
+      for (const query::NodeReport& nr : qr.node_reports) {
+        (nr.budget_exceeded ? degraded : visited)
+            .emplace(qr.id.query_number, nr.node_url);
+      }
+    }
+    std::set<std::pair<uint32_t, std::string>> served = {{3, "http://h/a"},
+                                                         {4, "http://h/b"}};
+    if (capacity == 3) served.emplace(2, "http://h/b");
+    EXPECT_EQ(degraded, (std::set<std::pair<uint32_t, std::string>>{
+                            {1, "http://h/a"}}));
+    EXPECT_EQ(visited, served);
+  }
+}
+
+TEST_F(QueryServerTest, BatchThatCannotFitAfterOneEvictionIsNackedWhole) {
+  MemoryPersistBackend backend{PersistFaultRules{}};
+  StartDurable(DurableAdmission(2), &backend);
+  const net::Endpoint peer{"peer", 1};
+  const net::Endpoint client{"client", 7000};
+  ListenAsPeer(peer);
+  ListenAsRetryingUserSite(client);
+
+  // Two lone clones fill the queue, query 1 with the earliest deadline.
+  // Evicting it would still leave three members in a queue of two.
+  SendTracked(peer, 1, net::MessageType::kWebQuery,
+              Body(WithDeadline(CloneTo(client, 1, {"http://h/a"}),
+                                5 * kSecond)));
+  SendTracked(peer, 2, net::MessageType::kWebQuery,
+              Body(CloneTo(client, 2, {"http://h/b"})));
+  query::CloneBatch batch;
+  batch.clones.push_back(
+      WithDeadline(CloneTo(client, 3, {"http://h/a"}), 20 * kSecond));
+  batch.clones.push_back(
+      WithDeadline(CloneTo(client, 4, {"http://h/b"}), 30 * kSecond));
+  SendTracked(peer, 3, net::MessageType::kCloneBatch, Body(batch));
+  net_.RunUntilIdle();
+
+  EXPECT_EQ(server_->stats().clones_evicted, 0u);
+  EXPECT_EQ(server_->stats().clones_shed, 2u);
+  EXPECT_EQ(server_->stats().batches_shed, 1u);
+  EXPECT_EQ(server_->stats().clone_batches_received, 0u);
+  EXPECT_EQ(Answers(net::MessageType::kOverloaded, 3), 1u);
+  EXPECT_EQ(Answers(net::MessageType::kDeliveryAck, 3), 0u);
+  EXPECT_EQ(AdmissionRecords(&backend).size(), 2u);
+  EXPECT_EQ(ReportedQueries(reports_), (std::set<uint32_t>{1, 2}));
+}
+
+TEST_F(QueryServerTest, LoneCloneMeetingAnOverfilledQueueNeedsRoomToEvict) {
+  MemoryPersistBackend backend{PersistFaultRules{}};
+  StartDurable(DurableAdmission(3), &backend);
+  const net::Endpoint peer{"peer", 1};
+  const net::Endpoint client{"client", 7000};
+  ListenAsPeer(peer);
+  ListenAsRetryingUserSite(client);
+
+  // Three clones are admitted, and the server crashes before any drains.
+  SendTracked(peer, 1, net::MessageType::kWebQuery,
+              Body(WithDeadline(CloneTo(client, 1, {"http://h/a"}),
+                                5 * kSecond)));
+  SendTracked(peer, 2, net::MessageType::kWebQuery,
+              Body(CloneTo(client, 2, {"http://h/a"})));
+  SendTracked(peer, 3, net::MessageType::kWebQuery,
+              Body(CloneTo(client, 3, {"http://h/b"})));
+  net_.ScheduleAfter(500 * kMillisecond, [this] { server_->Crash(); });
+  net_.RunUntilIdle();
+
+  // A server with a one-member queue recovers all three over that storage.
+  server_ = std::make_unique<QueryServer>("h", &web_, &net_,
+                                          DurableAdmission(1));
+  server_->SetPersistence(&backend);
+  server_->SetClock([this] { return net_.now(); });
+  ASSERT_TRUE(server_->Restart().ok());
+  ASSERT_EQ(server_->pending_clones(), 3u);
+
+  // Query 4's deadline is later than query 1's, but evicting query 1 would
+  // leave three members in a queue of one: query 4 is rejected instead.
+  SendTracked(peer, 4, net::MessageType::kWebQuery,
+              Body(WithDeadline(CloneTo(client, 4, {"http://h/b"}),
+                                20 * kSecond)));
+  net_.RunUntilIdle();
+  EXPECT_EQ(server_->stats().clones_evicted, 0u);
+  EXPECT_EQ(server_->stats().clones_shed, 1u);
+  EXPECT_EQ(Answers(net::MessageType::kOverloaded, 4), 1u);
+  EXPECT_EQ(ReportedQueries(reports_), (std::set<uint32_t>{1, 2, 3}));
+  // Lone clones are one-member units, never counted as batches.
+  EXPECT_EQ(server_->stats().batches_shed, 0u);
+  EXPECT_EQ(server_->stats().clone_batches_received, 0u);
+}
+
+TEST_F(QueryServerTest, ReplayAtAdmissionIsReackedOnceAndCounted) {
+  MemoryPersistBackend backend{PersistFaultRules{}};
+  StartDurable(DurableAdmission(2), &backend);
+  const net::Endpoint peer{"peer", 1};
+  const net::Endpoint client{"client", 7000};
+  ListenAsPeer(peer);
+  ListenAsRetryingUserSite(client);
+
+  // The durable queue acks the transfer at admission; its retransmission
+  // arrives while the first copy is still queued.
+  SendTracked(peer, 1, net::MessageType::kWebQuery,
+              Body(CloneTo(client, 1, {"http://h/a"})));
+  SendTracked(peer, 1, net::MessageType::kWebQuery,
+              Body(CloneTo(client, 1, {"http://h/a"})));
+  uint64_t queued = 0;
+  net_.ScheduleAfter(500 * kMillisecond,
+                     [this, &queued] { queued = server_->pending_clones(); });
+  net_.RunUntilIdle();
+
+  EXPECT_EQ(queued, 1u);
+  EXPECT_EQ(Answers(net::MessageType::kDeliveryAck, 1), 2u);
+  EXPECT_EQ(server_->stats().redeliveries_suppressed, 1u);
+  EXPECT_EQ(server_->stats().clones_received, 1u);
+  EXPECT_EQ(AdmissionRecords(&backend).size(), 1u);
+  EXPECT_EQ(reports_.size(), 1u);
 }
 
 TEST(QueryServerRecoveryTest, BatchedWalServerReprocessesInlineAfterCrash) {
