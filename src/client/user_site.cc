@@ -25,8 +25,6 @@ UserSite::UserSite(std::string host, net::Transport* transport,
       transport_(transport),
       options_(options),
       sender_(transport, options.retry),
-      receiver_(transport,
-                options.retry.enabled && transport->SupportsTimers()),
       clock_([] { return SimTime{0}; }),
       next_port_(options.first_result_port) {}
 
@@ -54,8 +52,11 @@ Result<query::QueryId> UserSite::Submit(const disql::CompiledQuery& compiled,
   id.reply_port = next_port_++;
   id.query_number = next_query_number_++;
 
-  auto run = std::make_unique<QueryRun>(options_.cht_dedup,
-                                        options_.robust_completion);
+  auto run = std::make_unique<QueryRun>(
+      options_.cht_dedup, options_.robust_completion,
+      net::ReliableReceiver(
+          transport_,
+          options_.retry.enabled && transport_->SupportsTimers()));
   run->id = id;
   run->compiled.web_query = compiled.web_query.Clone();
   run->compiled.start_urls = compiled.start_urls;
@@ -344,9 +345,9 @@ void UserSite::OnMessage(QueryRun* run, const net::Endpoint& from,
   // transfer seq, accepted (or suppressed) whole at the carrier endpoint.
   std::vector<uint8_t> inner;
   const std::vector<uint8_t>* body = &payload;
-  if (receiver_.enabled()) {
-    if (!receiver_.Accept(net::Endpoint{host_, run->id.reply_port}, from,
-                          payload, &inner)) {
+  if (run->receiver.enabled()) {
+    if (!run->receiver.Accept(net::Endpoint{host_, run->id.reply_port}, from,
+                              payload, &inner)) {
       ++run->stats.redeliveries_suppressed;
       return;
     }

@@ -7,6 +7,7 @@
 #include <set>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "client/cht.h"
@@ -179,8 +180,14 @@ class UserSite {
     /// Row filter: the relational::RowIdentity key of every row merged so
     /// far. Freed with the run.
     std::set<std::string> seen_rows;
+    /// Report-transfer receipts of this run's result socket. A sender
+    /// retransmits to the socket it first sent to, so the run's own history
+    /// suppresses every replay it can receive; freed with the run, whose
+    /// closed socket refuses later copies.
+    net::ReliableReceiver receiver;
 
-    QueryRun(bool cht_dedup, bool robust) : cht(cht_dedup, robust) {}
+    QueryRun(bool cht_dedup, bool robust, net::ReliableReceiver receiver)
+        : cht(cht_dedup, robust), receiver(std::move(receiver)) {}
   };
 
   /// Submits a compiled query on behalf of `user`: opens the result socket,
@@ -193,10 +200,10 @@ class UserSite {
   /// Lookup; nullptr if unknown or forgotten.
   const QueryRun* Find(const query::QueryId& id) const;
 
-  /// Frees a run: its CHT, results, row filter and stats. A run whose
-  /// result socket is still open is first terminated passively (§2.8): its
-  /// deadline sweep is cancelled and its socket closed, so later reports
-  /// to it are refused and the servers purge the query. Batched report
+  /// Frees a run: its CHT, results, row filter, report receipts and stats.
+  /// A run whose result socket is still open is first terminated passively
+  /// (§2.8): its deadline sweep is cancelled and its socket closed, so later
+  /// reports to it are refused and the servers purge the query. Batched report
   /// members for a forgotten run are dropped at demux time. Unknown ids
   /// are ignored; pointers from Find(id) dangle afterwards. Call it between
   /// event-loop runs, as Engine::CollectOutcome does: the run's handlers
@@ -263,7 +270,6 @@ class UserSite {
   net::Transport* transport_;
   UserSiteOptions options_;
   net::ReliableSender sender_;
-  net::ReliableReceiver receiver_;
   std::function<SimTime()> clock_;
   uint16_t next_port_;
   uint32_t next_query_number_ = 1;

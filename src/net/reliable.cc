@@ -165,21 +165,11 @@ bool ReliableReceiver::Accept(const Endpoint& self, const Endpoint& from,
     *inner = payload;
     return true;
   }
-  serialize::Decoder dec(payload);
   uint64_t seq = 0;
-  if (!dec.GetU64(&seq).ok()) return false;  // malformed envelope: drop
-  // Always acknowledge — the sender may be retrying because the previous
-  // ack was lost. Refusal is fine: the sender may already be gone.
-  serialize::Encoder ack;
-  ack.PutU64(seq);
-  (void)transport_->Send(self, from, MessageType::kDeliveryAck,
-                         ack.Release());
-  if (!seen_[from].insert(seq).second) {
-    ++suppressed_;
-    return false;  // replay: already processed
-  }
-  inner->assign(payload.begin() + dec.position(), payload.end());
-  return true;
+  if (!PeekSeq(payload, &seq)) return false;  // malformed envelope: drop
+  // AcceptSeq always acknowledges — the sender may be retrying because the
+  // previous ack was lost — and refuses a replay: already processed.
+  return AcceptSeq(self, from, seq) && StripEnvelope(payload, inner);
 }
 
 bool ReliableReceiver::PeekSeq(const std::vector<uint8_t>& payload,

@@ -208,10 +208,6 @@ class ReliableReceiver {
   /// True if this transfer was already accepted (a retransmission).
   bool TestSeen(const Endpoint& from, uint64_t seq) const;
 
-  /// Acks without recording: used to re-ack a replay whose original ack may
-  /// have been lost.
-  void SendAck(const Endpoint& self, const Endpoint& from, uint64_t seq);
-
   /// Sends the kOverloaded NACK for a shed transfer: the sender moves it to
   /// the overload backoff class and retries later.
   void SendOverloaded(const Endpoint& self, const Endpoint& from,
@@ -264,6 +260,9 @@ class ReliableReceiver {
   uint64_t suppressed_count() const { return suppressed_; }
 
  private:
+  /// Acks without recording.
+  void SendAck(const Endpoint& self, const Endpoint& from, uint64_t seq);
+
   Transport* transport_;
   bool enabled_;
   std::map<Endpoint, std::set<uint64_t>> seen_;

@@ -662,7 +662,9 @@ void QueryServer::ProcessNode(const query::WebQuery& clone,
   pre::Pre rem = clone.rem_pre;
   if (options_.dedup_enabled) {
     const pre::LogDecision decision =
-        log_table_.Check(url, clone.id.Key(), clone.State());
+        log_table_.Check(url, clone.id.Key(), clone.State(),
+                         clone.budget.has_deadline ? clone.budget.deadline
+                                                   : LogTable::kNoDeadline);
     if (decision.comparison == pre::LogComparison::kDuplicate) {
       ++stats_.duplicates_dropped;
       report->duplicate_drop = true;
@@ -867,6 +869,9 @@ void QueryServer::ProcessClone(query::WebQuery clone) {
       stats_.clones_received % options_.log_purge_every == 0) {
     log_table_.Purge();
   }
+  // Entries of a query past its deadline can decide nothing again: the
+  // deadline gate below drops its late clones before ProcessNode reads them.
+  log_table_.Expire(Now());
   if (terminated_queries_.contains(clone.id.Key())) {
     return;  // query was terminated; drop silently
   }

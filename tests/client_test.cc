@@ -310,6 +310,52 @@ TEST_F(UserSiteTest, ForgetFreesRunsAndClosesLiveSockets) {
   EXPECT_EQ(user.Find(kept.value()), carrier);
 }
 
+TEST_F(UserSiteTest, ReportReceiptsLiveAndDieWithTheirRun) {
+  // Report receipts are kept per run: a replay to a live run is suppressed
+  // and counted there, and once the run is forgotten its closed socket
+  // refuses the transfer.
+  core::EngineOptions options;
+  options.server.retry.enabled = true;
+  options.client.retry = options.server.retry;
+  options.client.close_socket_on_completion = false;
+  core::Engine engine = MakeEngine(options);
+  UserSite& user = engine.user_site();
+  auto compiled = disql::CompileDisql(scenario_.disql);
+  ASSERT_TRUE(compiled.ok());
+  auto id = engine.Submit(compiled.value());
+  ASSERT_TRUE(id.ok());
+  engine.network().RunUntilIdle();
+  const UserSite::QueryRun* run = user.Find(id.value());
+  ASSERT_NE(run, nullptr);
+  ASSERT_TRUE(run->completed);
+  const uint64_t reports_before = run->stats.reports_received;
+  ASSERT_EQ(run->stats.redeliveries_suppressed, 0u);
+
+  // One enveloped report transfer (seq 77) from a sender no server uses.
+  query::QueryReport report;
+  report.id = id.value();
+  serialize::Encoder enc;
+  enc.PutU64(77);
+  report.EncodeTo(&enc);
+  const std::vector<uint8_t> transfer = enc.Release();
+  const net::Endpoint sender{"probe", 1};
+  const net::Endpoint socket{core::Engine::kClientHost, id->reply_port};
+  for (int copy = 0; copy < 2; ++copy) {
+    ASSERT_TRUE(engine.network()
+                    .Send(sender, socket, net::MessageType::kReport, transfer)
+                    .ok());
+    engine.network().RunUntilIdle();
+  }
+  EXPECT_EQ(run->stats.reports_received, reports_before + 1);
+  EXPECT_EQ(run->stats.redeliveries_suppressed, 1u);
+
+  user.Forget(id.value());
+  EXPECT_EQ(engine.network()
+                .Send(sender, socket, net::MessageType::kReport, transfer)
+                .code(),
+            StatusCode::kConnectionRefused);
+}
+
 TEST_F(UserSiteTest, ReportForUnknownQueryIgnored) {
   core::Engine engine = MakeEngine();
   auto compiled = disql::CompileDisql(scenario_.disql);

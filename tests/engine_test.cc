@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 
+#include "net/fault.h"
 #include "web/synth.h"
 #include "web/topologies.h"
 #include "web/university.h"
@@ -411,15 +412,18 @@ TEST(EngineUniversityTest, FloatingLinksAreMissingDocumentsNotFailures) {
 // the kCollectWindow most recently collected runs and forgets older ones.
 // ---------------------------------------------------------------------------
 
-TEST(EngineSoakTest, CollectedRunsAreForgottenBeyondTheWindow) {
+/// The soak web: 4 sites of 4 synthetic documents.
+web::WebGraph SoakWeb() {
   web::SynthWebOptions web_options;
   web_options.seed = 11;
   web_options.num_sites = 4;
   web_options.docs_per_site = 4;
-  const web::WebGraph web = web::GenerateSynthWeb(web_options);
+  return web::GenerateSynthWeb(web_options);
+}
 
-  // The server options of perfbench's shared_durable workload: a result
-  // cache, batched envelopes and a WAL.
+/// The server options of perfbench's shared_durable workload: a result
+/// cache, batched envelopes and a WAL.
+EngineOptions SoakOptions() {
   EngineOptions options;
   options.network.latency_jitter = 5 * kMillisecond;
   options.network.jitter_seed = 7;
@@ -432,9 +436,11 @@ TEST(EngineSoakTest, CollectedRunsAreForgottenBeyondTheWindow) {
   durable.persist.enabled = true;
   durable.persist.wal_enabled = true;
   durable.persist.fsync = server::WalFsyncPolicy::kEveryAppend;
-  Engine engine(&web, options);
+  return options;
+}
 
-  // One round: two StartNodes per site, four predicates each.
+/// One soak round: two StartNodes per site, four predicates each.
+std::vector<disql::CompiledQuery> SoakRound() {
   std::vector<disql::CompiledQuery> round;
   for (int site = 0; site < 4; ++site) {
     for (const int doc : {0, 2}) {
@@ -444,11 +450,38 @@ TEST(EngineSoakTest, CollectedRunsAreForgottenBeyondTheWindow) {
         auto compiled = disql::CompileDisql(
             "select d.url from document d such that \"" +
             web::SynthUrl(site, doc) + "\" (L|G)*2 d where " + where);
-        ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+        EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
         round.push_back(std::move(compiled).value());
       }
     }
   }
+  return round;
+}
+
+/// The first column of every answer row.
+std::set<std::string> AnswerUrls(const RunOutcome& outcome) {
+  std::set<std::string> answer;
+  for (const relational::ResultSet& rs : outcome.results) {
+    for (const relational::Tuple& row : rs.rows) {
+      answer.insert(row[0].ToString());
+    }
+  }
+  return answer;
+}
+
+/// Log-table entries held across the deployment's servers.
+size_t LogEntries(Engine& engine) {
+  size_t entries = 0;
+  for (const std::string& host : engine.participating_hosts()) {
+    entries += engine.server_for(host)->log_table().size();
+  }
+  return entries;
+}
+
+TEST(EngineSoakTest, CollectedRunsAreForgottenBeyondTheWindow) {
+  const web::WebGraph web = SoakWeb();
+  Engine engine(&web, SoakOptions());
+  const std::vector<disql::CompiledQuery> round = SoakRound();
   ASSERT_EQ(round.size(), 32u);
 
   constexpr int kRounds = 32;  // 1,024 queries
@@ -470,12 +503,7 @@ TEST(EngineSoakTest, CollectedRunsAreForgottenBeyondTheWindow) {
     for (size_t q = 0; q < ids.size(); ++q) {
       const RunOutcome outcome = engine.CollectOutcome(ids[q], before);
       ASSERT_TRUE(outcome.completed);
-      std::set<std::string> answer;
-      for (const relational::ResultSet& rs : outcome.results) {
-        for (const relational::Tuple& row : rs.rows) {
-          answer.insert(row[0].ToString());
-        }
-      }
+      std::set<std::string> answer = AnswerUrls(outcome);
       if (r == 0) {
         EXPECT_FALSE(answer.empty()) << "query " << q;
         first_answers.push_back(std::move(answer));
@@ -506,6 +534,160 @@ TEST(EngineSoakTest, CollectedRunsAreForgottenBeyondTheWindow) {
   EXPECT_EQ(user.Find(collected[oldest_retained]), nullptr);
   EXPECT_NE(user.Find(collected[oldest_retained + 1]), nullptr);
   EXPECT_NE(user.Find(extra->id), nullptr);
+}
+
+// Deadline expiry changes no decision. Two deployments run the soak rounds
+// without periodic purge: one's queries carry a 300 ms deadline, the
+// other's an hour, so their clones are the same size and every query ends
+// well before either deadline. Between rounds the clock moves past the
+// short deadlines, so a short-deadline server forgets a round's entries at
+// its first arrival of the next.
+TEST(EngineSoakTest, DeadlineExpiryChangesNoDecision) {
+  const web::WebGraph web = SoakWeb();
+  EngineOptions options = SoakOptions();
+  options.server.log_purge_every = 0;
+  options.client.budget_deadline = 300 * kMillisecond;
+  Engine short_lived(&web, options);
+  options.client.budget_deadline = 3600 * kSecond;
+  Engine long_lived(&web, options);
+  const std::vector<disql::CompiledQuery> round = SoakRound();
+
+  constexpr int kRounds = 8;
+  std::vector<size_t> short_entries;
+  std::vector<size_t> long_entries;
+  for (int r = 0; r < kRounds; ++r) {
+    SCOPED_TRACE("round " + std::to_string(r));
+    std::vector<std::vector<std::set<std::string>>> answers;
+    for (Engine* engine : {&short_lived, &long_lived}) {
+      const TrafficSummary before = engine->TrafficSnapshot();
+      std::vector<query::QueryId> ids;
+      for (size_t q = 0; q < round.size(); ++q) {
+        auto id = engine->Submit(round[q], "u" + std::to_string(q));
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        ids.push_back(id.value());
+      }
+      engine->network().RunUntilIdle();
+      std::vector<std::set<std::string>>& round_answers =
+          answers.emplace_back();
+      for (const query::QueryId& id : ids) {
+        const RunOutcome outcome = engine->CollectOutcome(id, before);
+        ASSERT_TRUE(outcome.completed);
+        EXPECT_FALSE(outcome.budget_exhausted);
+        EXPECT_LT(outcome.completion_time - outcome.submit_time,
+                  150 * kMillisecond);
+        round_answers.push_back(AnswerUrls(outcome));
+      }
+      engine->network().ScheduleAfter(400 * kMillisecond, [] {});
+      engine->network().RunUntilIdle();
+    }
+    EXPECT_EQ(answers[0], answers[1]);
+    short_entries.push_back(LogEntries(short_lived));
+    long_entries.push_back(LogEntries(long_lived));
+  }
+
+  const server::QueryServerStats short_stats =
+      short_lived.AggregateServerStats();
+  const server::QueryServerStats long_stats =
+      long_lived.AggregateServerStats();
+  EXPECT_GT(short_stats.duplicates_dropped, 0u);
+  EXPECT_EQ(short_stats.duplicates_dropped, long_stats.duplicates_dropped);
+  EXPECT_EQ(short_stats.superset_rewrites, long_stats.superset_rewrites);
+  EXPECT_EQ(short_stats.nodes_processed, long_stats.nodes_processed);
+  EXPECT_EQ(short_stats.snapshots_written, long_stats.snapshots_written);
+  EXPECT_EQ(short_stats.budget_expired_clones, 0u);
+  const TrafficSummary short_traffic = short_lived.TrafficSnapshot();
+  const TrafficSummary long_traffic = long_lived.TrafficSnapshot();
+  EXPECT_EQ(short_traffic.messages, long_traffic.messages);
+  EXPECT_EQ(short_traffic.query_messages, long_traffic.query_messages);
+  EXPECT_EQ(short_traffic.report_messages, long_traffic.report_messages);
+  EXPECT_EQ(short_traffic.bytes, long_traffic.bytes);
+
+  // The short-deadline table holds one round from round 2 on; the long one
+  // keeps every round.
+  for (int r = 1; r < kRounds; ++r) {
+    EXPECT_EQ(short_entries[r], short_entries[1]) << "round " << r;
+    EXPECT_GT(long_entries[r], long_entries[r - 1]) << "round " << r;
+  }
+}
+
+// A long-lived campus deployment under loss keeps its log table bounded:
+// perfbench's lossy_overload options (3% loss on clones, reports and acks,
+// retries, admission queues of 8, a 1.3 s deadline, no periodic purge) and
+// 32 rounds of 32 convener queries. After each round the servers hold at
+// most the entries of that round and the one before.
+TEST(EngineSoakTest, LossyCampusLogTableHoldsAtMostTwoRounds) {
+  web::UniversityOptions campus;
+  campus.seed = 1;
+  campus.departments = 4;
+  campus.labs_per_department = 4;
+  const web::UniversityWeb uni = web::GenerateUniversityWeb(campus);
+
+  EngineOptions options;
+  net::RetryOptions retry;
+  retry.enabled = true;
+  retry.initial_timeout = 100 * kMillisecond;
+  retry.backoff_factor = 2.0;
+  retry.max_timeout = 400 * kMillisecond;
+  retry.max_attempts = 4;
+  retry.jitter_seed = 18;
+  options.server.retry = retry;
+  options.client.retry = retry;
+  options.client.entry_deadline = 10 * kSecond;
+  options.client.budget_deadline = 1300 * kMillisecond;
+  options.server.admission.max_pending = 8;
+  options.server.admission.service_time = 2 * kMillisecond;
+  Engine engine(&uni.web, options);
+  net::FaultPlan loss(/*seed=*/3);
+  for (const net::MessageType type :
+       {net::MessageType::kWebQuery, net::MessageType::kReport,
+        net::MessageType::kDeliveryAck}) {
+    net::FaultPlan::Rule rule;
+    rule.type = type;
+    rule.drop_prob = 0.03;
+    loss.AddRule(rule);
+  }
+  engine.network().SetFaultPlan(&loss);
+  auto compiled = disql::CompileDisql(uni.convener_disql);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+
+  const auto logged = [&engine] {
+    uint64_t entries = 0;
+    for (const std::string& host : engine.participating_hosts()) {
+      entries += engine.server_for(host)->log_table().stats().new_entries;
+    }
+    return entries;
+  };
+  constexpr int kRounds = 32;
+  constexpr int kUsers = 32;  // 1,024 queries
+  uint64_t logged_before = 0;
+  uint64_t previous_round = 0;
+  uint64_t expired = 0;
+  int completed = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    SCOPED_TRACE("round " + std::to_string(r));
+    const TrafficSummary before = engine.TrafficSnapshot();
+    std::vector<query::QueryId> ids;
+    for (int u = 0; u < kUsers; ++u) {
+      auto id = engine.Submit(compiled.value(), "u" + std::to_string(u));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ids.push_back(id.value());
+    }
+    engine.network().RunUntilIdle();
+    for (const query::QueryId& id : ids) {
+      if (engine.CollectOutcome(id, before).completed) ++completed;
+    }
+    const uint64_t logged_now = logged();
+    const uint64_t this_round = logged_now - logged_before;
+    ASSERT_GT(this_round, 0u);
+    EXPECT_LE(LogEntries(engine), this_round + previous_round);
+    logged_before = logged_now;
+    previous_round = this_round;
+  }
+  for (const std::string& host : engine.participating_hosts()) {
+    expired += engine.server_for(host)->log_table().stats().expired_queries;
+  }
+  EXPECT_GT(expired, 0u);
+  EXPECT_EQ(completed, kRounds * kUsers);
 }
 
 }  // namespace

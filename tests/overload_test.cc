@@ -480,7 +480,8 @@ TEST(BreakerTest, TripShortCircuitAndHalfOpenRecovery) {
 // never duplicated, and degradation is always named (budget_exceeded_nodes /
 // unreachable_hosts / fallback), never silent. Every third schedule (seeds
 // 3, 6, ..., 24) also batches cross-query envelopes (§9.2), so batch units
-// meet admission, eviction and deadlines as well.
+// meet admission, eviction and deadlines as well, and in schedules with a
+// deadline the log tables expire queries while later ones still run.
 
 TEST(OverloadScheduleTest, RandomizedOverloadSchedulesAlwaysDrainTheCht) {
   UniFixture f;
@@ -490,6 +491,8 @@ TEST(OverloadScheduleTest, RandomizedOverloadSchedulesAlwaysDrainTheCht) {
   uint64_t total_trips = 0;
   uint64_t batches_admitted = 0;
   uint64_t batch_arm_evictions = 0;
+  uint64_t batches_shed = 0;
+  uint64_t live_visits_after_expiry = 0;
   int degraded_runs = 0;
   int exact_runs = 0;
   for (uint64_t seed = 1; seed <= 24; ++seed) {
@@ -522,12 +525,14 @@ TEST(OverloadScheduleTest, RandomizedOverloadSchedulesAlwaysDrainTheCht) {
       options.client.budget_max_hops = rng.UniformRange(2, 5);
     }
     // Every third schedule also batches cross-query envelopes (§9.2) into
-    // single-slot queues under a deadline, so batch units meet full queues
-    // and the eviction policy has deadlines to compare.
+    // single-slot queues that serve twice as slowly, under a deadline, so
+    // batch units meet full queues and the eviction policy has deadlines to
+    // compare.
     const bool batching = seed % 3 == 0;
     if (batching) {
       options.server.batch_window = 50 * kMillisecond;
       options.server.admission.max_pending = 1;
+      options.server.admission.service_time *= 2;
       if (options.client.budget_deadline == 0) {
         options.client.budget_deadline = 4 * kSecond;
       }
@@ -547,21 +552,38 @@ TEST(OverloadScheduleTest, RandomizedOverloadSchedulesAlwaysDrainTheCht) {
           up, [qs] { EXPECT_TRUE(qs->Restart().ok()); });
     }
 
-    // Two staggered queries keep the admission queues contended and give
-    // the eviction policy distinct deadlines to compare.
+    // Four to six staggered queries, so their deadlines are distinct: a
+    // close follower contends for the same admission queues (in batching
+    // schedules every follower is close, so batches form across queries),
+    // and a distant one can arrive after an earlier query's deadline has
+    // passed.
     const core::TrafficSummary before = engine.TrafficSnapshot();
     std::vector<query::QueryId> ids;
-    auto first = engine.Submit(f.compiled);
-    ASSERT_TRUE(first.ok());
-    ids.push_back(first.value());
-    engine.network().ScheduleAfter(
-        rng.UniformRange(1, 50) * kMillisecond, [&engine, &ids, &f] {
-          auto id = engine.Submit(f.compiled);
-          ASSERT_TRUE(id.ok());
-          ids.push_back(id.value());
-        });
+    const size_t queries = rng.UniformRange(4, 6);
+    SimDuration offset = 0;
+    for (size_t q = 0; q < queries; ++q) {
+      engine.network().ScheduleAfter(offset, [&engine, &ids, &f] {
+        auto id = engine.Submit(f.compiled);
+        ASSERT_TRUE(id.ok());
+        ids.push_back(id.value());
+      });
+      offset += (batching || rng.Bernoulli(0.5))
+                    ? rng.UniformRange(1, 50) * kMillisecond
+                    : rng.UniformRange(1000, 4000) * kMillisecond;
+    }
+    // A visit at a server that has expired some query: the visiting clone
+    // passed the deadline gate, so a later query was still live there.
+    uint64_t visits_after_expiry = 0;
+    engine.ObserveVisits([&engine, &visits_after_expiry](
+                             const server::VisitEvent& event) {
+      const auto url = html::ParseUrl(event.node_url);
+      ASSERT_TRUE(url.ok());
+      const server::QueryServer* qs = engine.server_for(url->host);
+      ASSERT_NE(qs, nullptr);
+      if (qs->log_table().stats().expired_queries > 0) ++visits_after_expiry;
+    });
     engine.network().RunUntilIdle();
-    ASSERT_EQ(ids.size(), 2u);
+    ASSERT_EQ(ids.size(), queries);
 
     const server::QueryServerStats stats = engine.AggregateServerStats();
     total_shed += stats.clones_shed + stats.clones_evicted;
@@ -569,6 +591,10 @@ TEST(OverloadScheduleTest, RandomizedOverloadSchedulesAlwaysDrainTheCht) {
     if (batching) {
       batches_admitted += stats.clone_batches_received;
       batch_arm_evictions += stats.clones_evicted;
+      batches_shed += stats.batches_shed;
+    }
+    if (options.client.budget_deadline != 0) {
+      live_visits_after_expiry += visits_after_expiry;
     }
 
     for (const query::QueryId& id : ids) {
@@ -610,6 +636,11 @@ TEST(OverloadScheduleTest, RandomizedOverloadSchedulesAlwaysDrainTheCht) {
   // The batching schedules admitted batch units and evicted some unit.
   EXPECT_GT(batches_admitted, 0u);
   EXPECT_GT(batch_arm_evictions, 0u);
+  // Some batch met a full queue and was shed whole.
+  EXPECT_GT(batches_shed, 0u);
+  // Some server expired a query's log entries and went on serving a later
+  // query that was still live.
+  EXPECT_GT(live_visits_after_expiry, 0u);
 }
 
 }  // namespace

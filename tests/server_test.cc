@@ -5,10 +5,12 @@
 #include <set>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/strings.h"
 #include "core/engine.h"
 #include "disql/compiler.h"
 #include "html/url.h"
+#include "log_table_reference.h"
 #include "net/sim.h"
 #include "query/report.h"
 #include "serialize/encoder.h"
@@ -146,6 +148,184 @@ TEST(LogTableTest, PurgeQueryIsSelective) {
             pre::LogComparison::kUnrelated);
   EXPECT_EQ(table.Check("n", "q2", CloneState{1, P("L")}).comparison,
             pre::LogComparison::kDuplicate);
+}
+
+TEST(LogTableTest, ArrivalAtTheDeadlineStillFindsItsDuplicate) {
+  LogTable table;
+  table.Check("n", "q", CloneState{1, P("L")}, /*deadline=*/100);
+  table.Expire(100);
+  EXPECT_EQ(table.Check("n", "q", CloneState{1, P("L")}, 100).comparison,
+            pre::LogComparison::kDuplicate);
+  table.Expire(101);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.stats().expired_queries, 1u);
+}
+
+TEST(LogTableTest, OneDeadlineLessArrivalKeepsItsQueryForever) {
+  LogTable table;
+  table.Check("n", "q1", CloneState{1, P("L")}, 100);
+  table.Check("m", "q1", CloneState{1, P("L")}, LogTable::kNoDeadline);
+  table.Check("n", "q2", CloneState{1, P("L")}, 100);
+  table.Check("m", "q2", CloneState{1, P("L")}, 300);  // a later deadline
+  table.Expire(200);
+  EXPECT_EQ(table.size(), 4u);
+  table.Expire(LogTable::kNoDeadline);
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.Check("n", "q1", CloneState{1, P("L")}, 100).comparison,
+            pre::LogComparison::kDuplicate);
+  EXPECT_EQ(table.stats().expired_queries, 1u);
+}
+
+TEST(LogTableTest, PurgedQueryLeavesNoDeadlineBehind) {
+  LogTable table;
+  table.Check("n", "q", CloneState{1, P("L")}, 100);
+  table.PurgeQuery("q");
+  // The query comes back with a later deadline; the purged one is gone.
+  table.Check("n", "q", CloneState{1, P("L")}, 300);
+  table.Expire(200);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.stats().expired_queries, 0u);
+}
+
+TEST(LogTableTest, RestoredQueryStaysUntilADatedArrivalOrAPurge) {
+  LogTable table;
+  for (const char* query_key : {"q1", "q2", "q3"}) {
+    table.Check("n", query_key, CloneState{1, P("L")}, 100);
+  }
+  serialize::Encoder enc;
+  table.EncodeTo(&enc);
+  LogTable restored;
+  serialize::Decoder dec(enc.data());
+  ASSERT_TRUE(LogTable::DecodeFrom(&dec, &restored).ok());
+  // The image carries no deadlines: nothing is due.
+  restored.Expire(1000);
+  EXPECT_EQ(restored.size(), 3u);
+  // An arrival of q1 dates it, and it expires past that deadline.
+  EXPECT_EQ(restored.Check("n", "q1", CloneState{1, P("L")}, 2000).comparison,
+            pre::LogComparison::kDuplicate);
+  restored.Expire(2000);
+  EXPECT_EQ(restored.size(), 3u);
+  restored.Expire(2001);
+  EXPECT_EQ(restored.size(), 2u);
+  restored.PurgeQuery("q2");
+  EXPECT_EQ(restored.size(), 1u);
+  restored.Purge();
+  EXPECT_EQ(restored.size(), 0u);
+}
+
+// The live table against reference::LogTable, which keeps every entry until
+// a purge. Random streams of arrivals at 4 nodes for 6 live queries, num_q
+// 1-3, over PREs of the `A*m·B` family the rules compare plus unrelated
+// ones, interleaved with PurgeQuery, Purge, snapshot round trips and clock
+// advances. A query whose deadline passes gets no further arrivals (its
+// slot takes a fresh query), as the deadline gate guarantees a server; every
+// arrival must get the reference's decision and rewritten PRE.
+TEST(LogTableTest, MatchesTheReferenceWhileQueriesExpire) {
+  std::vector<pre::Pre> pres;
+  for (const char* a : {"L", "G"}) {
+    for (const char* b : {"L", "G"}) {
+      for (int m = 1; m <= 4; ++m) {
+        pres.push_back(P(StringPrintf("%s*%d.%s", a, m, b)));
+      }
+      pres.push_back(P(StringPrintf("%s*.%s", a, b)));
+    }
+  }
+  for (const char* unrelated : {"L", "G.L", "(L|G)*2", "I", "L.G.L"}) {
+    pres.push_back(P(unrelated));
+  }
+  const std::vector<std::string> nodes = {"http://a/", "http://a/x",
+                                          "http://b/", "http://c/y"};
+
+  struct LiveQuery {
+    std::string key;
+    SimTime deadline;
+  };
+  std::map<pre::LogComparison, uint64_t> decisions;
+  uint64_t expired = 0;
+  uint64_t arrivals_at_deadline = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    LogTable table;
+    reference::LogTable spec;
+    SimTime now = 0;
+    uint32_t next_query = 1;
+    const auto fresh_query = [&] {
+      LiveQuery query{"u@h:1#" + std::to_string(next_query++),
+                      LogTable::kNoDeadline};
+      if (!rng.Bernoulli(0.2)) query.deadline = now + rng.UniformRange(0, 200);
+      return query;
+    };
+    std::vector<LiveQuery> live;
+    for (int i = 0; i < 6; ++i) live.push_back(fresh_query());
+
+    for (int step = 0; step < 1250; ++step) {
+      const uint64_t op = rng.Uniform(1000);
+      if (op < 40) {
+        // Advance the clock, half the time exactly onto the earliest
+        // deadline; a query whose deadline passed is replaced.
+        SimTime earliest = LogTable::kNoDeadline;
+        for (const LiveQuery& query : live) {
+          earliest = std::min(earliest, query.deadline);
+        }
+        if (earliest != LogTable::kNoDeadline && earliest > now &&
+            rng.Bernoulli(0.5)) {
+          now = earliest;
+        } else {
+          now += rng.UniformRange(1, 10);
+        }
+        for (LiveQuery& query : live) {
+          if (query.deadline < now) query = fresh_query();
+        }
+      } else if (op < 50) {
+        const std::string& key = live[rng.Uniform(live.size())].key;
+        table.PurgeQuery(key);
+        spec.PurgeQuery(key);
+      } else if (op < 52) {
+        table.Purge();
+        spec.Purge();
+      } else if (op < 57) {
+        serialize::Encoder table_image;
+        table.EncodeTo(&table_image);
+        serialize::Decoder table_dec(table_image.data());
+        ASSERT_TRUE(LogTable::DecodeFrom(&table_dec, &table).ok());
+        serialize::Encoder spec_image;
+        spec.EncodeTo(&spec_image);
+        serialize::Decoder spec_dec(spec_image.data());
+        ASSERT_TRUE(reference::LogTable::DecodeFrom(&spec_dec, &spec).ok());
+      } else {
+        const LiveQuery& query = live[rng.Uniform(live.size())];
+        const std::string& node = nodes[rng.Uniform(nodes.size())];
+        const CloneState state{static_cast<uint32_t>(rng.UniformRange(1, 3)),
+                               pres[rng.Uniform(pres.size())]};
+        if (query.deadline == now) ++arrivals_at_deadline;
+        // A server expires at every arrival, before its check.
+        table.Expire(now);
+        const pre::LogDecision got =
+            table.Check(node, query.key, state, query.deadline);
+        const pre::LogDecision want = spec.Check(node, query.key, state);
+        ASSERT_EQ(got.comparison, want.comparison)
+            << "step " << step << ": " << state.rem_pre.ToString() << " at "
+            << node << " for " << query.key;
+        ASSERT_EQ(got.rewritten.has_value(), want.rewritten.has_value());
+        if (want.rewritten.has_value()) {
+          EXPECT_TRUE(got.rewritten->Equals(*want.rewritten))
+              << got.rewritten->ToString() << " vs "
+              << want.rewritten->ToString();
+        }
+        ++decisions[want.comparison];
+        ASSERT_LE(table.size(), spec.size());
+      }
+    }
+    expired += table.stats().expired_queries;
+  }
+  // Every rule fired, queries expired, and some arrivals came exactly at
+  // their deadline.
+  EXPECT_GT(decisions[pre::LogComparison::kDuplicate], 0u);
+  EXPECT_GT(decisions[pre::LogComparison::kSupersetRewrite], 0u);
+  EXPECT_GT(decisions[pre::LogComparison::kUnrelated], 0u);
+  EXPECT_GT(expired, 0u);
+  EXPECT_GT(arrivals_at_deadline, 0u);
 }
 
 // -- HttpServer --------------------------------------------------------------------
@@ -478,6 +658,31 @@ TEST_F(QueryServerTest, DuplicateCloneDroppedAndReported) {
   ASSERT_EQ(reports_.size(), 1u);
   EXPECT_TRUE(reports_[0].node_reports[0].duplicate_drop);
   EXPECT_EQ(server_->stats().duplicates_dropped, 1u);
+}
+
+TEST_F(QueryServerTest, QueryEntriesExpireWithItsDeadline) {
+  SimTime now = 0;
+  server_->SetClock([&now] { return now; });
+  const query::WebQuery clone =
+      WithDeadline(MakeClone("N", "alpha", {"http://h/a"}), 1000);
+  Deliver(clone);
+  EXPECT_EQ(server_->log_table().size(), 1u);
+
+  // At its deadline the clone still passes the gate, and its entry still
+  // catches the duplicate.
+  now = 1000;
+  Deliver(clone.Clone());
+  EXPECT_EQ(server_->stats().duplicates_dropped, 1u);
+  EXPECT_EQ(server_->stats().budget_expired_clones, 0u);
+
+  // Past it, the clone is budget-expired, and the arrival expired the
+  // query's entries first.
+  now = 1001;
+  Deliver(clone.Clone());
+  EXPECT_EQ(server_->stats().budget_expired_clones, 1u);
+  EXPECT_EQ(server_->stats().duplicates_dropped, 1u);
+  EXPECT_EQ(server_->log_table().size(), 0u);
+  EXPECT_EQ(server_->log_table().stats().expired_queries, 1u);
 }
 
 TEST_F(QueryServerTest, DedupDisabledRecomputes) {

@@ -173,7 +173,7 @@ CONFINEMENT_ALLOWLIST = {
         # Mutated from this site's result-socket / timer handlers, which
         # share the user site's single host partition, and from Submit and
         # Forget, which are called between event-loop runs.
-        "sender_", "receiver_", "next_port_", "next_query_number_", "runs_",
+        "sender_", "next_port_", "next_query_number_", "runs_",
         # §10.4 oracle hook: assigned before the run starts, invoked only
         # from this site's result-socket handlers (single host partition).
         "report_observer_",
