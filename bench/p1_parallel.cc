@@ -144,7 +144,7 @@ int Main() {
 
   bench::TablePrinter table({
       "workers", "wall ms", "speedup", "virtual ms", "msgs",
-      "occupancy %", "batches", "serial", "identical",
+      "occupancy %", "serial", "identical",
   });
 
   double reference_wall = 0;
@@ -175,7 +175,6 @@ int Main() {
         bench::Ms(best.virtual_makespan),
         bench::Num(best.messages),
         bench::Ratio(best.parallel.Occupancy() * 100.0, 1.0),
-        bench::Num(best.parallel.coalesced_batches),
         bench::Num(best.parallel.serial_slices),
         identical ? "yes" : "NO",
     });

@@ -54,9 +54,7 @@ Result<query::QueryId> UserSite::Submit(const disql::CompiledQuery& compiled,
 
   auto run = std::make_unique<QueryRun>(
       options_.cht_dedup, options_.robust_completion,
-      net::ReliableReceiver(
-          transport_,
-          options_.retry.enabled && transport_->SupportsTimers()));
+      net::ReliableReceiver(transport_, options_.retry.enabled));
   run->id = id;
   run->compiled.web_query = compiled.web_query.Clone();
   run->compiled.start_urls = compiled.start_urls;
@@ -166,8 +164,7 @@ Result<query::QueryId> UserSite::Submit(const disql::CompiledQuery& compiled,
   }
   MaybeComplete(raw);
   if (!raw->completed && options_.use_cht &&
-      !options_.ack_tree_termination && options_.entry_deadline > 0 &&
-      transport_->SupportsTimers()) {
+      !options_.ack_tree_termination && options_.entry_deadline > 0) {
     ScheduleSweep(raw);
   }
   return id;

@@ -49,7 +49,7 @@ struct UserSiteOptions {
   /// Approximate queries (§7.1 future work): stop after this many unique
   /// result rows. The cancel rides on passive termination — the user site
   /// simply closes its socket and the distributed traversal dies out.
-  /// 0 = exact (no limit).
+  /// 0 = exact (no limit). The engine refuses it with the parallel stepper.
   uint64_t row_limit = 0;
   /// At-least-once delivery for initial clone dispatch + receipt dedup of
   /// incoming reports. Must match the servers' setting (the envelope is not
@@ -59,7 +59,7 @@ struct UserSiteOptions {
   /// add/delete activity for this long is declared unreachable — its host
   /// crashed or is partitioned away — and garbage-collected so the query
   /// still completes, flagged as a *partial* outcome naming the host.
-  /// 0 = disabled. Needs a timer-capable transport and use_cht.
+  /// 0 = disabled. Needs use_cht.
   SimDuration entry_deadline = 0;
   /// Per-query resource budget (PROTOCOL.md §7.1), stamped on every initial
   /// clone and enforced by every server the query visits. All 0 = no budget

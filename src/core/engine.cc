@@ -101,14 +101,12 @@ std::string FormatRunStats(const RunOutcome& outcome) {
     // property of how the whole run's slices partitioned.
     out += StringPrintf(
         "parallel: workers=%zu slices=%llu parallel_slices=%llu "
-        "max_partitions=%llu occupancy=%.1f%% coalesced_batches=%llu "
-        "coalesced_slices=%llu serial_slices=%llu serial_events=%llu\n",
+        "max_partitions=%llu occupancy=%.1f%% serial_slices=%llu "
+        "serial_events=%llu\n",
         outcome.workers, (unsigned long long)outcome.parallel.slices,
         (unsigned long long)outcome.parallel.parallel_slices,
         (unsigned long long)outcome.parallel.max_slice_partitions,
         100.0 * outcome.parallel.Occupancy(),
-        (unsigned long long)outcome.parallel.coalesced_batches,
-        (unsigned long long)outcome.parallel.coalesced_slices,
         (unsigned long long)outcome.parallel.serial_slices,
         (unsigned long long)outcome.parallel.serial_events);
   }
@@ -126,6 +124,11 @@ Engine::Engine(const web::WebGraph* web, EngineOptions options)
     WEBDIS_CHECK(override_opts.retry.enabled == options_.client.retry.enabled)
         << "server override for " << host << " must match client retry";
   }
+  WEBDIS_CHECK(options_.client.row_limit == 0 ||
+               options_.network.worker_threads == 0)
+      << "row_limit requires the sequential stepper (workers == 0): its "
+         "early stop closes the result socket inside a slice, where a "
+         "server on another host may already have reported to it";
   network_ = std::make_unique<net::SimNetwork>(options_.network);
   const std::vector<std::string> hosts = web_->Hosts();
 

@@ -89,7 +89,7 @@ Status FaultyTransport::Send(const Endpoint& from, const Endpoint& to,
     // caller acts on.
     (void)base_->Send(from, to, type, std::move(copy));
   }
-  if (decision.extra_delay > 0 && base_->SupportsTimers()) {
+  if (decision.extra_delay > 0) {
     std::vector<uint8_t> delayed = std::move(payload);
     Transport* base = base_;
     base_->ScheduleAfter(

@@ -104,9 +104,8 @@ class FaultPlan {
 /// Listen passes through untouched. Unlike SimNetwork's native hook (which
 /// checks the listener first), a dropped send cannot probe acceptance over a
 /// real transport, so it also suppresses synchronous refusal for that one
-/// message; the retry layer's timeout covers both losses identically. Delay
-/// needs timer support on the base transport; without it, delayed messages
-/// are sent immediately.
+/// message; the retry layer's timeout covers both losses identically. A
+/// delayed message is sent from a timer on the base transport.
 class FaultyTransport : public Transport {
  public:
   /// Both must outlive the decorator. `plan` may be shared with other
@@ -127,7 +126,6 @@ class FaultyTransport : public Transport {
     return base_->ScheduleAfter(delay, std::move(fn));
   }
   bool CancelTimer(uint64_t id) override { return base_->CancelTimer(id); }
-  bool SupportsTimers() const override { return base_->SupportsTimers(); }
 
  private:
   Transport* base_;

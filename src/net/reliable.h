@@ -98,9 +98,7 @@ class ReliableSender {
   ReliableSender(const ReliableSender&) = delete;
   ReliableSender& operator=(const ReliableSender&) = delete;
 
-  bool enabled() const {
-    return options_.enabled && transport_->SupportsTimers();
-  }
+  bool enabled() const { return options_.enabled; }
 
   /// Sends `payload` as `type`, tracked for redelivery when enabled().
   /// `from` must be an endpoint this sender's owner listens on: acks come

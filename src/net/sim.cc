@@ -14,9 +14,12 @@ SimNetwork::SimNetwork(SimNetworkOptions options)
 SimNetwork::~SimNetwork() = default;
 
 Status SimNetwork::Listen(const Endpoint& endpoint, MessageHandler handler) {
-  if (SliceContext* ctx = CurrentSliceContext(this); ctx != nullptr) {
-    return SliceListen(ctx, endpoint, std::move(handler));
-  }
+  // A listener bound mid-slice would be invisible to the other partitions'
+  // sends until the barrier, so refusals would differ from the legacy loop.
+  WEBDIS_CHECK(CurrentSliceContext(this) == nullptr)
+      << "Listen(" << endpoint.ToString()
+      << ") inside a stepped slice: bind listeners from the driver or a "
+         "driver-context timer";
   if (listeners_.contains(endpoint)) {
     return Status::InvalidArgument(StringPrintf(
         "endpoint %s already bound", endpoint.ToString().c_str()));
@@ -171,15 +174,15 @@ void SimNetwork::DispatchEventLegacy(Event event) {
     }
     now_ = event.deliver_at;
     ++timers_fired_;
-    WEBDIS_CHECK(delivered_ + timers_fired_ <= options_.max_deliveries)
-        << "simulated network exceeded max_deliveries — runaway timers?";
+    WEBDIS_CHECK(delivered_ + timers_fired_ <= kMaxDeliveries)
+        << "simulated network exceeded kMaxDeliveries — runaway timers?";
     event.timer();
     return;
   }
   now_ = event.deliver_at;
   ++delivered_;
-  WEBDIS_CHECK(delivered_ + timers_fired_ <= options_.max_deliveries)
-      << "simulated network exceeded max_deliveries — runaway forwarding?";
+  WEBDIS_CHECK(delivered_ + timers_fired_ <= kMaxDeliveries)
+      << "simulated network exceeded kMaxDeliveries — runaway forwarding?";
   auto it = listeners_.find(event.to);
   if (it == listeners_.end()) {
     // Listener closed while the message was in flight: silently dropped,

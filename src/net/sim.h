@@ -37,9 +37,6 @@ struct SimNetworkOptions {
   /// reordering.
   SimDuration latency_jitter = 0;
   uint64_t jitter_seed = 1;
-  /// Safety valve: RunUntilIdle aborts after this many deliveries (protects
-  /// against runaway forwarding loops in buggy configurations).
-  uint64_t max_deliveries = 50'000'000;
 
   /// Optional processing-cost model: how long the receiving endpoint takes
   /// to handle one message. Deliveries to an endpoint are serialized (each
@@ -57,28 +54,14 @@ struct SimNetworkOptions {
   /// driving thread): each time-slice — all queued events sharing the
   /// minimum virtual timestamp — is partitioned by destination host, the
   /// partitions' handlers run concurrently with all outbound Send /
-  /// ScheduleAfter / Listen effects buffered per worker, and the buffers
-  /// are replayed into the event queue in original (time, sequence) order.
-  /// Any N >= 1 therefore produces bit-identical results, traffic stats and
+  /// ScheduleAfter / CloseListener / CancelTimer effects buffered per
+  /// partition, and the buffers are replayed into the event queue in
+  /// original (sequence, issue index) order before the next slice. Any
+  /// N >= 1 therefore produces bit-identical results, traffic stats and
   /// delivery order; N = 1 is the sequential reference for that guarantee.
+  /// Handlers must not Listen inside a stepped slice and may close only
+  /// their own host's endpoints (both CHECKed).
   size_t worker_threads = 0;
-
-  /// Parallelism floors for the stepper: a slice with fewer distinct
-  /// destination partitions or fewer events than these runs through the
-  /// legacy serial dispatch instead — forking the pool and buffering ops
-  /// for one or two events costs more than it saves. Results are identical
-  /// either way (the legacy loop and the stepper are equivalent); only the
-  /// execution strategy changes.
-  size_t min_parallel_partitions = 2;
-  size_t min_parallel_events = 2;
-
-  /// Adaptive slice coalescing (DESIGN.md "Parallel execution"): after a
-  /// slice runs, the stepper keeps extending the same batch with the next
-  /// queued slice as long as no buffered effect could land before it (and
-  /// no listener mutation or timer cancellation is pending), deferring the
-  /// replay/commit to the batch boundary. Off = commit after every slice
-  /// (the pre-coalescing behaviour, kept as the equivalence reference).
-  bool coalesce_slices = true;
 };
 
 /// Counters describing how much concurrency the time-stepped stepper
@@ -90,14 +73,13 @@ struct ParallelStats {
   uint64_t parallel_events = 0;  // events inside parallel slices
   uint64_t max_slice_events = 0;
   uint64_t max_slice_partitions = 0;
-  /// Coalescing: batches that merged >= 2 slices into one commit, and the
-  /// total slices they absorbed (coalesced_slices / coalesced_batches is
-  /// the mean merge depth).
+  /// Always 0: every slice commits on its own, so no batch merges slices.
+  /// Kept because perfbench reads them (its slices-per-batch metric).
   uint64_t coalesced_batches = 0;
   uint64_t coalesced_slices = 0;
-  /// Threshold fallback: slices dispatched through the legacy serial loop
-  /// because they were under the min_parallel_* floors (or contained a
-  /// driver-context timer), and the events they carried.
+  /// Serial fallback: slices dispatched through the legacy serial loop
+  /// because they had fewer than two host partitions or contained a
+  /// driver-context timer, and the events they carried.
   uint64_t serial_slices = 0;
   uint64_t serial_events = 0;
 
@@ -145,7 +127,6 @@ class SimNetwork : public Transport {
   /// virtual clock. RunUntilIdle drains timers too.
   uint64_t ScheduleAfter(SimDuration delay, std::function<void()> fn) override;
   bool CancelTimer(uint64_t id) override;
-  bool SupportsTimers() const override { return true; }
 
   // -- Simulation control ---------------------------------------------------
 
@@ -195,6 +176,11 @@ class SimNetwork : public Transport {
   void ResetMetrics();
 
  private:
+  /// Safety valve: RunUntilIdle aborts after this many deliveries and timer
+  /// firings (protects against runaway forwarding loops in buggy
+  /// configurations).
+  static constexpr uint64_t kMaxDeliveries = 50'000'000;
+
   struct Event {
     SimTime deliver_at;
     uint64_t sequence;  // tie-break for determinism
@@ -212,21 +198,18 @@ class SimNetwork : public Transport {
     std::string affinity;
   };
   /// The event queue, ordered by (deliver_at, sequence). An ordered map
-  /// rather than a priority queue: the coalescing stepper needs to peek at
-  /// the *next* slice's time and contents without committing to popping it,
-  /// and to extract events without the const-top copy a priority_queue
-  /// forces.
+  /// rather than a priority queue: the stepper extracts a whole slice by
+  /// moving events out, without the const-top copy a priority_queue forces.
   using EventQueue = std::map<std::pair<SimTime, uint64_t>, Event>;
 
   // -- Parallel stepper internals (parallel_sim.cc) -------------------------
   // During a time-slice, worker threads divert every Transport call into
-  // their partition's SliceContext (buffered ops + listener overlay); the
-  // driving thread replays the buffers in (sequence, issue-index) order
-  // after the slice barrier, which reproduces the sequential evolution of
-  // the jitter RNG, per-endpoint serial queues, sequence numbers and
-  // traffic meters bit for bit.
+  // their partition's SliceContext (buffered ops + own closes); the driving
+  // thread replays the buffers in (sequence, issue-index) order after the
+  // slice barrier, which reproduces the sequential evolution of the jitter
+  // RNG, per-endpoint serial queues, sequence numbers and traffic meters bit
+  // for bit.
   struct SliceContext;
-  struct BatchState;
   static SliceContext*& ThreadSliceContext();
   /// The calling thread's slice context, iff it belongs to `net` (a handler
   /// may legitimately drive a second, independent SimNetwork — that one
@@ -234,32 +217,18 @@ class SimNetwork : public Transport {
   static SliceContext* CurrentSliceContext(const SimNetwork* net);
   Status SliceSend(SliceContext* ctx, const Endpoint& from, const Endpoint& to,
                    MessageType type, std::vector<uint8_t> payload);
-  Status SliceListen(SliceContext* ctx, const Endpoint& endpoint,
-                     MessageHandler handler);
   void SliceCloseListener(SliceContext* ctx, const Endpoint& endpoint);
   uint64_t SliceScheduleAfter(SliceContext* ctx, SimDuration delay,
                               std::function<void()> fn);
   bool SliceCancelTimer(SliceContext* ctx, uint64_t id);
   void DispatchSlice(SliceContext* ctx);
   void RunStepped();
-  /// One stepper iteration: pops the earliest slice, dispatches it (legacy
-  /// path if under the parallelism floors or driver-bound), and — when
-  /// coalescing is on — keeps absorbing subsequent non-interacting slices
-  /// into the same batch before a single commit.
-  void StepBatch();
-  /// Extracts every queued event at the minimum timestamp; stores it in
-  /// `*t_out`.
-  std::vector<Event> PopSlice(SimTime* t_out);
-  /// Runs one already-popped slice inside `batch`: advances the clock,
-  /// assigns events to (new or existing) partitions, and fork/joins the
-  /// active ones.
-  void RunBatchSlice(BatchState* batch, std::vector<Event> slice, SimTime t);
-  /// True if the next queued slice may join `batch` without changing
-  /// observable behaviour (the non-interaction rule, DESIGN.md §8).
-  bool CanExtendBatch(const BatchState& batch) const;
-  /// The batch barrier: merges counters, retires fired timers, and replays
-  /// all buffered ops in (issue-time, sequence, issue-index) order.
-  void CommitBatch(BatchState* batch);
+  /// One stepper iteration: pops every event at the minimum timestamp,
+  /// dispatches the slice serially if it has a driver-context timer or
+  /// fewer than two host partitions, and otherwise fork/joins the
+  /// partitions and replays their buffered ops in (sequence, issue index)
+  /// order.
+  void StepSlice();
   /// The body of RunOne after the pop: legacy inline dispatch. Used by the
   /// event loop and by stepper slices containing driver-context timers.
   void DispatchEventLegacy(Event event);

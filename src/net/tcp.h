@@ -52,7 +52,6 @@ class TcpTransport : public Transport {
   uint64_t ScheduleAfter(SimDuration delay, std::function<void()> fn) override
       WEBDIS_EXCLUDES(mu_);
   bool CancelTimer(uint64_t id) override WEBDIS_EXCLUDES(mu_);
-  bool SupportsTimers() const override { return true; }
 
   /// The real 127.0.0.1 port bound for a symbolic endpoint (0 if none).
   uint16_t ResolvePort(const Endpoint& endpoint) const WEBDIS_EXCLUDES(mu_);

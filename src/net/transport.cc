@@ -32,18 +32,6 @@ std::string_view MessageTypeToString(MessageType type) {
   return "Unknown";
 }
 
-uint64_t Transport::ScheduleAfter(SimDuration delay,
-                                  std::function<void()> fn) {
-  (void)delay;
-  (void)fn;
-  return 0;  // no timer support
-}
-
-bool Transport::CancelTimer(uint64_t id) {
-  (void)id;
-  return false;
-}
-
 std::string Endpoint::ToString() const {
   return StringPrintf("%s:%u", host.c_str(), static_cast<unsigned>(port));
 }

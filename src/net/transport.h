@@ -105,21 +105,21 @@ class Transport {
                                     std::vector<uint8_t> payload) = 0;
 
   // -- Timers ---------------------------------------------------------------
-  // Optional: the retry/recovery layers (net/reliable.h) need to schedule
-  // retransmissions and deadline sweeps. Transports that cannot schedule
-  // callbacks report !SupportsTimers() and those layers degrade to plain
-  // fire-and-forget sends.
+  // The retry/recovery layers (net/reliable.h), admission control, batching
+  // and the user site's deadline sweep schedule on these.
 
   /// Schedules `fn` to run after `delay` on the transport's dispatch context
   /// (the simulated clock for SimNetwork, wall time for TcpTransport).
-  /// Returns a nonzero timer id, or 0 if the transport has no timer support.
-  virtual uint64_t ScheduleAfter(SimDuration delay, std::function<void()> fn);
+  /// Returns a nonzero timer id.
+  virtual uint64_t ScheduleAfter(SimDuration delay,
+                                 std::function<void()> fn) = 0;
 
   /// Cancels a pending timer; returns true if it had not fired yet.
-  virtual bool CancelTimer(uint64_t id);
+  virtual bool CancelTimer(uint64_t id) = 0;
 
-  /// True if ScheduleAfter actually schedules.
-  virtual bool SupportsTimers() const { return false; }
+  /// Every transport schedules. Still virtual only because the benchmark
+  /// harness's timing decorator (perfbench/src/probe.h) overrides it.
+  virtual bool SupportsTimers() const { return true; }
 };
 
 }  // namespace webdis::net

@@ -35,14 +35,8 @@ QueryServer::QueryServer(std::string host, const web::WebGraph* web,
       transport_(transport),
       options_(options),
       sender_(transport, options.retry),
-      receiver_(transport,
-                options.retry.enabled && transport->SupportsTimers()),
+      receiver_(transport, options.retry.enabled),
       breakers_(options.breaker) {
-  // The admission queue drains one unit per service_time on the
-  // transport's timers: without them a queued clone would wait forever.
-  WEBDIS_CHECK(options_.admission.max_pending == 0 ||
-               transport->SupportsTimers())
-      << "admission control needs a transport with timers";
   // Delivery outcomes feed the forwarding-path circuit breaker: an ack is
   // evidence the peer server is healthy, exhaustion/refusal-on-retry that
   // it is not. Overload NACKs are neutral (the host answered). Only peer

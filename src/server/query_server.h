@@ -37,7 +37,6 @@ struct AdmissionOptions {
   /// Per-unit service interval: the queue drains one unit per interval
   /// through the transport's timer queue, which is what makes a server
   /// saturable in the first place (and deterministic under SimNetwork).
-  /// Admission control requires a transport with timers.
   SimDuration service_time = 0;
 };
 
@@ -79,8 +78,7 @@ struct QueryServerOptions {
   /// Cross-query batched envelopes (PROTOCOL.md §9.2): outbound clones and
   /// reports are staged per destination host and flushed after this window
   /// as kCloneBatch / kReportBatch messages (0 = off: every send goes out
-  /// immediately, the seed behavior). Requires transport timer support;
-  /// without timers the option is inert.
+  /// immediately, the seed behavior).
   SimDuration batch_window = 0;
   /// Maximum members per flushed envelope; larger groups are split.
   size_t batch_max_members = 64;
@@ -298,11 +296,7 @@ class QueryServer {
   SimTime Now() const { return clock_ ? clock_() : 0; }
 
   // -- Cross-query sharing (PROTOCOL.md §9) --------------------------------
-  /// Batching is live only on transports with timers (a flush needs a
-  /// window to wait out).
-  bool BatchingEnabled() const {
-    return options_.batch_window > 0 && transport_->SupportsTimers();
-  }
+  bool BatchingEnabled() const { return options_.batch_window > 0; }
   /// Cache key: "<resource key>@<version>|<canonical node-query bytes>".
   static std::string ResultCacheKey(const web::WebGraph::Document& doc,
                                     const query::NodeQuery& nq);

@@ -12,6 +12,7 @@
 // never touch shared state unsynchronized.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 
 #include "common/clock.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/strings.h"
 #include "core/engine.h"
 #include "disql/compiler.h"
@@ -40,10 +42,6 @@ struct Workload {
   // for the stepper); with jitter, arrivals scatter to distinct timestamps
   // and most slices are singletons. Both must be bit-identical.
   bool jitter = true;
-  // Adaptive slice coalescing (SimNetworkOptions::coalesce_slices). Off is
-  // the pre-coalescing commit-per-slice stepper, kept as the equivalence
-  // reference for the coalescing suites below.
-  bool coalesce = true;
 };
 
 std::string SummarizeTraffic(const core::TrafficSummary& t) {
@@ -122,7 +120,6 @@ std::string RunWorkload(const Workload& w, size_t workers,
 
   core::EngineOptions options;
   options.network.worker_threads = workers;
-  options.network.coalesce_slices = w.coalesce;
   options.network.latency_jitter = w.jitter ? 2 * kMillisecond : 0;
   options.network.jitter_seed = w.seed * 31 + 7;
   if (w.faults) {
@@ -245,6 +242,15 @@ TEST(ParallelDeterminismTest, ComposedWithFaultsAndOverload) {
                         .overload = true,
                         .queries = 2});
   }
+  // Aligned arrivals: retries, shedding and drops meet in wide slices.
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    ExpectBitIdentical({.name = "both-wavefront",
+                        .seed = seed,
+                        .faults = true,
+                        .overload = true,
+                        .queries = 2,
+                        .jitter = false});
+  }
 }
 
 // The determinism theorems above would be vacuous if the stepper never
@@ -269,158 +275,90 @@ TEST(ParallelDeterminismTest, LegacyModeReportsNoParallelism) {
   EXPECT_EQ(stats.events, 0u);
 }
 
-// -- Adaptive slice coalescing ----------------------------------------------
+// -- Raw SimNetwork units on the stepped path --------------------------------
 //
-// Coalescing merges consecutive non-interacting slices into one fork/join
-// batch (DESIGN.md §8). It is purely an execution strategy: for every seed,
-// the coalesced stepper must produce byte-identical outcomes to the
-// commit-per-slice stepper and to the legacy loop, at every worker count,
-// including under composed fault and overload schedules.
+// Each unit below puts at least two host partitions into the slice it
+// tests, so the stepper forks, buffers and replays instead of falling back
+// to the legacy dispatch, and compares what the handlers observed with the
+// legacy loop (workers = 0). A log string is written by one host's handlers
+// only, so concurrent partitions never share it.
 
-TEST(CoalescingTest, CoalescedMatchesUncoalescedAcrossSeeds) {
-  for (uint64_t seed = 1; seed <= 16; ++seed) {
-    Workload w{.name = "coalesce-faults-overload",
-               .seed = seed,
-               .faults = true,
-               .overload = true,
-               .queries = 2,
-               .jitter = false};
-    SCOPED_TRACE(w.name + " seed=" + std::to_string(seed));
-    w.coalesce = false;
-    const std::string reference = RunWorkload(w, 0);
-    for (bool coalesce : {false, true}) {
-      for (size_t workers : {size_t{0}, size_t{1}, size_t{2}, size_t{4}}) {
-        SCOPED_TRACE(StringPrintf("coalesce=%d workers=%zu",
-                                  coalesce ? 1 : 0, workers));
-        w.coalesce = coalesce;
-        EXPECT_EQ(reference, RunWorkload(w, workers));
-      }
-    }
-  }
+/// 100 us within a host, 150 us across hosts, no bandwidth cost, no jitter.
+net::SimNetworkOptions RawOptions(size_t workers) {
+  net::SimNetworkOptions opts;
+  opts.same_host_latency = 100;
+  opts.inter_host_latency = 150;
+  opts.bandwidth_bytes_per_sec = 0;
+  opts.latency_jitter = 0;
+  opts.worker_threads = workers;
+  return opts;
 }
 
-TEST(CoalescingTest, CoalescedMatchesUncoalescedWithJitter) {
-  // Jittered arrivals scatter slices to distinct timestamps — mostly
-  // singleton slices, the regime where coalescing does its real work.
-  for (uint64_t seed = 1; seed <= 16; ++seed) {
-    Workload w{.name = "coalesce-jitter",
-               .seed = seed,
-               .faults = true,
-               .queries = 2};
-    SCOPED_TRACE(w.name + " seed=" + std::to_string(seed));
-    w.coalesce = false;
-    const std::string reference = RunWorkload(w, 0);
-    w.coalesce = true;
-    for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers));
-      EXPECT_EQ(reference, RunWorkload(w, workers));
-    }
-  }
+net::MessageHandler Noop() {
+  return [](const net::Endpoint&, net::MessageType,
+            const std::vector<uint8_t>&) {};
 }
 
-// The equivalence above would be vacuous if the workloads never coalesced:
-// prove batches actually absorb multiple slices, and that the off switch
-// really disables the machinery.
-TEST(CoalescingTest, CoalescedBatchesActuallyHappen) {
-  net::ParallelStats stats;
-  (void)RunWorkload(
-      {.name = "coalesce-on", .seed = 3, .queries = 4, .jitter = false}, 2,
-      &stats);
-  EXPECT_GT(stats.coalesced_batches, 0u);
-  // Each coalesced batch absorbed >= 2 slices by definition.
-  EXPECT_GE(stats.coalesced_slices, 2 * stats.coalesced_batches);
-
-  net::ParallelStats off;
-  Workload w{.name = "coalesce-off", .seed = 3, .queries = 4,
-             .jitter = false};
-  w.coalesce = false;
-  (void)RunWorkload(w, 2, &off);
-  EXPECT_EQ(off.coalesced_batches, 0u);
-  EXPECT_EQ(off.coalesced_slices, 0u);
+/// A message from `e` to itself: lands one same-host latency later.
+Status Poke(net::SimNetwork& net, const net::Endpoint& e) {
+  return net.Send(e, e, net::MessageType::kWebQuery, {});
 }
 
-// Targeted non-interaction unit on a raw SimNetwork. Two deliveries are
-// queued 50 us apart (A at t=100, B at t=150). A's handler schedules a
-// 20 us timer — a buffered effect landing at t=120, *before* B's slice — so
-// the stepper must refuse to pull B's slice into A's batch: committing A
-// first lets the timer fire at its correct virtual time. The observable
-// order A@100, timer@120, B@150 is exactly what the legacy loop produces;
-// a stepper that wrongly coalesced would run B's handler before the timer
-// existed and log B@150 ahead of timer@120.
+std::string At(const std::string& what, const net::SimNetwork& net) {
+  return what + "@" + std::to_string(net.now()) + " ";
+}
+
+// A timer armed in one slice lands before the next queued slice. A and C
+// both receive at t=100, so that slice steps; A's handler arms a 20 us timer
+// (t=120) while B's delivery waits at t=150. The slice commits before the
+// next one is popped, so the timer fires between them: A@100, timer@120,
+// B@150, as in the legacy loop. (The suite keeps its name from the
+// coalescing stepper, which had to refuse to merge such a pair.)
 TEST(CoalescingTest, InteractingSlicePairDoesNotCoalesce) {
-  struct LogEntry {
-    std::string what;
-    SimTime at;
-  };
-  auto run = [](bool schedule_timer, size_t workers,
-                net::ParallelStats* stats_out) {
-    net::SimNetworkOptions opts;
-    opts.same_host_latency = 100;   // us
-    opts.inter_host_latency = 150;  // us
-    opts.bandwidth_bytes_per_sec = 0;
-    opts.latency_jitter = 0;
-    opts.worker_threads = workers;
-    // Floors at 1 so even singleton slices take the stepper (and thus the
-    // coalescing) path — this unit tests batching, not the fallback.
-    opts.min_parallel_partitions = 1;
-    opts.min_parallel_events = 1;
-    net::SimNetwork net(opts);
-
-    std::vector<LogEntry> log;
+  auto run = [](size_t workers, net::ParallelStats* stats_out) {
+    net::SimNetwork net(RawOptions(workers));
+    std::string log;  // hosts a and b; b runs alone at t=150
     const net::Endpoint a{"a", 1};
     const net::Endpoint b{"b", 1};
+    const net::Endpoint c{"c", 1};
     EXPECT_TRUE(net.Listen(a, [&](const net::Endpoint&, net::MessageType,
                                   const std::vector<uint8_t>&) {
-                    log.push_back({"A", net.now()});
-                    if (schedule_timer) {
-                      net.ScheduleAfter(20, [&] {
-                        log.push_back({"timer", net.now()});
-                      });
-                    }
+                    log += At("A", net);
+                    net.ScheduleAfter(20, [&] { log += At("timer", net); });
                   }).ok());
     EXPECT_TRUE(net.Listen(b, [&](const net::Endpoint&, net::MessageType,
                                   const std::vector<uint8_t>&) {
-                    log.push_back({"B", net.now()});
+                    log += At("B", net);
                   }).ok());
-    // Same-host send -> A lands at 100; inter-host send -> B lands at 150.
-    EXPECT_TRUE(net.Send(a, a, net::MessageType::kWebQuery, {}).ok());
-    EXPECT_TRUE(net.Send(a, b, net::MessageType::kWebQuery, {}).ok());
+    EXPECT_TRUE(net.Listen(c, Noop()).ok());
+    EXPECT_TRUE(Poke(net, a).ok());  // t=100
+    EXPECT_TRUE(Poke(net, c).ok());  // t=100
+    EXPECT_TRUE(net.Send(a, b, net::MessageType::kWebQuery, {}).ok());  // 150
     net.RunUntilIdle();
     if (stats_out != nullptr) *stats_out = net.parallel_stats();
-    std::string flat;
-    for (const LogEntry& e : log) {
-      flat += e.what + "@" + std::to_string(e.at) + " ";
-    }
-    return flat;
+    return log;
   };
 
-  // Control: with no buffered effect the two slices are non-interacting and
-  // the stepper does coalesce them into one batch.
-  net::ParallelStats control;
-  EXPECT_EQ(run(false, 2, &control), "A@100 B@150 ");
-  EXPECT_EQ(control.coalesced_batches, 1u);
-  EXPECT_EQ(control.coalesced_slices, 2u);
-
-  // Interacting pair: the timer's landing time (120) precedes B's slice
-  // (150), so extension must be refused and the virtual-time order must
-  // match the legacy loop exactly.
-  const std::string legacy = run(true, 0, nullptr);
+  const std::string legacy = run(0, nullptr);
   EXPECT_EQ(legacy, "A@100 timer@120 B@150 ");
   for (size_t workers : {size_t{1}, size_t{2}}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    EXPECT_EQ(run(true, workers, nullptr), legacy);
+    net::ParallelStats stats;
+    EXPECT_EQ(run(workers, &stats), legacy);
+    EXPECT_EQ(stats.parallel_slices, 1u);  // t=100 stepped; 120 and 150 alone
+    EXPECT_EQ(stats.serial_slices, 2u);
   }
 }
 
-// Threshold fallback observability: a single-partition workload (everything
-// on one host) stays under min_parallel_partitions, so the stepper routes
-// its slices through the legacy serial dispatch and says so in the stats.
+// Serial fallback observability: a single-partition workload (everything on
+// one host) never has two partitions in a slice, so the stepper routes its
+// slices through the legacy serial dispatch and says so in the stats.
 TEST(CoalescingTest, SerialFallbackCountsSubThresholdSlices) {
   net::SimNetworkOptions opts;
   opts.same_host_latency = 100;
   opts.bandwidth_bytes_per_sec = 0;
   opts.latency_jitter = 0;
-  opts.worker_threads = 2;  // defaults: min_parallel_partitions = 2
+  opts.worker_threads = 2;
   net::SimNetwork net(opts);
   const net::Endpoint a{"a", 1};
   int received = 0;
@@ -438,6 +376,241 @@ TEST(CoalescingTest, SerialFallbackCountsSubThresholdSlices) {
   EXPECT_EQ(stats.serial_slices, stats.slices);
   EXPECT_EQ(stats.serial_events, stats.events);
   EXPECT_EQ(stats.parallel_slices, 0u);
+}
+
+// A timer fires, then a later event of the same partition cancels it: the
+// legacy loop has already retired it, so CancelTimer returns false. At t=100
+// A arms a 100 us timer and pokes itself, both landing at t=200 with the
+// timer first; C pokes itself too, so both slices step.
+TEST(SliceStepTest, CancellingATimerThatFiredEarlierInTheSliceFails) {
+  auto run = [](size_t workers, net::ParallelStats* stats_out) {
+    net::SimNetwork net(RawOptions(workers));
+    const net::Endpoint a{"a", 1};
+    const net::Endpoint c{"c", 1};
+    std::string log;  // host a only
+    uint64_t timer = 0;
+    int a_received = 0;
+    int c_received = 0;
+    EXPECT_TRUE(net.Listen(a, [&](const net::Endpoint&, net::MessageType,
+                                  const std::vector<uint8_t>&) {
+                    if (++a_received == 1) {
+                      timer = net.ScheduleAfter(
+                          100, [&] { log += At("fired", net); });
+                      EXPECT_TRUE(Poke(net, a).ok());
+                      return;
+                    }
+                    log += At(net.CancelTimer(timer) ? "cancel=true"
+                                                     : "cancel=false",
+                              net);
+                  }).ok());
+    EXPECT_TRUE(net.Listen(c, [&](const net::Endpoint&, net::MessageType,
+                                  const std::vector<uint8_t>&) {
+                    if (++c_received == 1) {
+                      EXPECT_TRUE(Poke(net, c).ok());
+                    }
+                  }).ok());
+    EXPECT_TRUE(Poke(net, a).ok());
+    EXPECT_TRUE(Poke(net, c).ok());
+    net.RunUntilIdle();
+    if (stats_out != nullptr) *stats_out = net.parallel_stats();
+    return log;
+  };
+
+  const std::string legacy = run(0, nullptr);
+  EXPECT_EQ(legacy, "fired@200 cancel=false@200 ");
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    net::ParallelStats stats;
+    EXPECT_EQ(run(workers, &stats), legacy);
+    EXPECT_EQ(stats.parallel_slices, 2u);
+  }
+}
+
+// A partition sees its own CloseListener at once. At t=100 host a receives
+// three deliveries and host c one: the first closes a:1, the second (also
+// to a:1) is dropped, and a:2's handler then sends to a:1 and is refused —
+// as in the legacy loop.
+TEST(SliceStepTest, OwnCloseIsSeenByTheRestOfThePartition) {
+  auto run = [](size_t workers, net::ParallelStats* stats_out) {
+    net::SimNetwork net(RawOptions(workers));
+    const net::Endpoint a1{"a", 1};
+    const net::Endpoint a2{"a", 2};
+    const net::Endpoint c{"c", 1};
+    std::string log;  // host a only
+    EXPECT_TRUE(net.Listen(a1, [&](const net::Endpoint&, net::MessageType,
+                                   const std::vector<uint8_t>&) {
+                    log += "closed ";
+                    net.CloseListener(a1);
+                  }).ok());
+    EXPECT_TRUE(net.Listen(a2, [&](const net::Endpoint&, net::MessageType,
+                                   const std::vector<uint8_t>&) {
+                    const Status sent =
+                        net.Send(a2, a1, net::MessageType::kWebQuery, {});
+                    log += sent.code() == StatusCode::kConnectionRefused
+                               ? "refused "
+                               : "sent ";
+                  }).ok());
+    EXPECT_TRUE(net.Listen(c, Noop()).ok());
+    EXPECT_TRUE(Poke(net, a1).ok());
+    EXPECT_TRUE(Poke(net, a1).ok());
+    EXPECT_TRUE(Poke(net, a2).ok());
+    EXPECT_TRUE(Poke(net, c).ok());
+    net.RunUntilIdle();
+    if (stats_out != nullptr) *stats_out = net.parallel_stats();
+    return log + StringPrintf(
+                     "delivered=%llu dropped=%llu refused=%llu",
+                     (unsigned long long)net.delivered_count(),
+                     (unsigned long long)net.dropped_count(),
+                     (unsigned long long)net.connection_refused_count());
+  };
+
+  const std::string legacy = run(0, nullptr);
+  EXPECT_EQ(legacy, "closed refused delivered=4 dropped=1 refused=1");
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    net::ParallelStats stats;
+    EXPECT_EQ(run(workers, &stats), legacy);
+    EXPECT_EQ(stats.parallel_slices, 1u);
+  }
+}
+
+// The barrier replays buffered sends in the order the legacy loop issued
+// them, interleaving partitions. At t=100 host a receives two deliveries
+// (sequence 0 and 2) and host b one (sequence 1); each handler sends to c,
+// and the three messages reach c at the same virtual time, so c sees them
+// in issue order: a, b, a.
+TEST(SliceStepTest, ReplayInterleavesPartitionsInIssueOrder) {
+  auto run = [](size_t workers, net::ParallelStats* stats_out) {
+    net::SimNetwork net(RawOptions(workers));
+    const net::Endpoint a{"a", 1};
+    const net::Endpoint b{"b", 1};
+    const net::Endpoint c{"c", 1};
+    std::string log;  // host c only
+    const auto forward = [&](const net::Endpoint& self) {
+      return [&net, self, c](const net::Endpoint&, net::MessageType,
+                             const std::vector<uint8_t>&) {
+        EXPECT_TRUE(net.Send(self, c, net::MessageType::kWebQuery,
+                             {static_cast<uint8_t>(self.host[0])})
+                        .ok());
+      };
+    };
+    EXPECT_TRUE(net.Listen(a, forward(a)).ok());
+    EXPECT_TRUE(net.Listen(b, forward(b)).ok());
+    EXPECT_TRUE(net.Listen(c, [&](const net::Endpoint&, net::MessageType,
+                                  const std::vector<uint8_t>& payload) {
+                    log += At(std::string(1, static_cast<char>(payload[0])),
+                              net);
+                  }).ok());
+    EXPECT_TRUE(Poke(net, a).ok());
+    EXPECT_TRUE(Poke(net, b).ok());
+    EXPECT_TRUE(Poke(net, a).ok());
+    net.RunUntilIdle();
+    if (stats_out != nullptr) *stats_out = net.parallel_stats();
+    return log;
+  };
+
+  const std::string legacy = run(0, nullptr);
+  EXPECT_EQ(legacy, "a@250 b@250 a@250 ");
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    net::ParallelStats stats;
+    EXPECT_EQ(run(workers, &stats), legacy);
+    EXPECT_EQ(stats.parallel_slices, 1u);
+  }
+}
+
+// -- What the stepper refuses to run -----------------------------------------
+
+/// Runs one stepped slice at t=100 with deliveries to a:1 (first, running
+/// `a_handler`) and c:1.
+void RunSteppedSlice(size_t workers,
+                     const std::function<void(net::SimNetwork&)>& a_handler) {
+  net::SimNetwork net(RawOptions(workers));
+  const net::Endpoint a{"a", 1};
+  const net::Endpoint c{"c", 1};
+  EXPECT_TRUE(net.Listen(a, [&](const net::Endpoint&, net::MessageType,
+                                const std::vector<uint8_t>&) {
+                  a_handler(net);
+                }).ok());
+  EXPECT_TRUE(net.Listen(c, Noop()).ok());
+  EXPECT_TRUE(Poke(net, a).ok());
+  EXPECT_TRUE(Poke(net, c).ok());
+  net.RunUntilIdle();
+}
+
+// Other partitions resolve refusals against the slice-start listener table,
+// so a listener bound inside a stepped slice would be refused there and
+// accepted by the legacy loop.
+TEST(SliceStepDeathTest, ListenInsideASteppedSliceDies) {
+  const auto bind = [](net::SimNetwork& net) {
+    EXPECT_TRUE(net.Listen(net::Endpoint{"a", 5}, Noop()).ok());
+  };
+  RunSteppedSlice(0, bind);  // the legacy loop binds it
+  EXPECT_DEATH(RunSteppedSlice(2, bind),
+               "Listen\\(a:5\\) inside a stepped slice");
+}
+
+// A close of another host's endpoint would race that host's own partition.
+TEST(SliceStepDeathTest, ClosingAnotherHostsEndpointDies) {
+  const auto close_c = [](net::SimNetwork& net) {
+    net.CloseListener(net::Endpoint{"c", 1});
+  };
+  RunSteppedSlice(0, close_c);
+  EXPECT_DEATH(RunSteppedSlice(2, close_c),
+               "CloseListener\\(c:1\\) from host a inside a stepped slice");
+}
+
+// The close race: the user site's handler closes its result socket, and a
+// server on another host reports to it later in the same slice's sequence
+// order. The legacy loop refuses that report (and the server then
+// terminates the query passively, §2.8); a stepped partition resolved it
+// against the slice-start table and accepted it. The barrier stops the run
+// instead of letting the two runs diverge.
+TEST(SliceStepDeathTest, SendToAnEndpointClosedEarlierInTheSliceDies) {
+  const net::Endpoint user{"user.site", 9000};
+  const net::Endpoint site{"site3.example", 7000};
+  auto run = [&](size_t workers) {
+    net::SimNetwork net(RawOptions(workers));
+    EXPECT_TRUE(net.Listen(user, [&](const net::Endpoint&, net::MessageType,
+                                     const std::vector<uint8_t>&) {
+                    net.CloseListener(user);
+                  }).ok());
+    EXPECT_TRUE(net.Listen(site, [&](const net::Endpoint&, net::MessageType,
+                                     const std::vector<uint8_t>&) {
+                    // Refused under the legacy loop; the counter says so.
+                    (void)net.Send(site, user, net::MessageType::kReport, {});
+                  }).ok());
+    EXPECT_TRUE(Poke(net, user).ok());  // the close runs first
+    EXPECT_TRUE(Poke(net, site).ok());
+    net.RunUntilIdle();
+    return StringPrintf("refused=%llu dropped=%llu",
+                        (unsigned long long)net.connection_refused_count(),
+                        (unsigned long long)net.dropped_count());
+  };
+
+  EXPECT_EQ(run(0), "refused=1 dropped=0");
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    EXPECT_DEATH((void)run(workers),
+                 "site3.example:7000 sent to user.site:9000, closed earlier "
+                 "in the same slice");
+  }
+}
+
+// row_limit's early stop is exactly that race inside the engine: the user
+// site closes a live query's result socket from a report handler. The
+// engine refuses the combination up front.
+TEST(SliceStepDeathTest, EngineRefusesRowLimitWithWorkers) {
+  web::SynthWebOptions web_options;
+  web_options.num_sites = 2;
+  web_options.docs_per_site = 2;
+  const web::WebGraph web = web::GenerateSynthWeb(web_options);
+  core::EngineOptions options;
+  options.client.row_limit = 1;
+  { core::Engine sequential(&web, options); }  // workers = 0 is accepted
+  options.network.worker_threads = 2;
+  EXPECT_DEATH({ core::Engine engine(&web, options); },
+               "row_limit requires the sequential stepper");
 }
 
 }  // namespace

@@ -1448,7 +1448,6 @@ class FailSendsTo : public net::Transport {
     return inner_->ScheduleAfter(delay, std::move(fn));
   }
   bool CancelTimer(uint64_t id) override { return inner_->CancelTimer(id); }
-  bool SupportsTimers() const override { return inner_->SupportsTimers(); }
 
  private:
   net::Transport* inner_;
